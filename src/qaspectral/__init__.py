@@ -16,12 +16,10 @@ from .annulus import (
     tensor_criterion,
 )
 from .bounds import (
-    BoundCatalog,
+    BOUND_KINDS,
     RatioReport,
     annulus_bound,
     biannulus_bound,
-    bound_catalog,
-    check_bound,
     polyannulus_dc_bound,
     spectral_ratio,
 )
@@ -67,8 +65,8 @@ from .operators import OperatorTuple, make_tuple
 
 __all__ = [
     "AnnulusParams",
+    "BOUND_KINDS",
     "BiballLift",
-    "BoundCatalog",
     "BoundarySpec",
     "DilationResult",
     "DomainError",
@@ -93,10 +91,8 @@ __all__ = [
     "biannulus_bound",
     "biball_lift",
     "bivariate_part_bounds",
-    "bound_catalog",
     "boundary_probe",
     "cauchy_check",
-    "check_bound",
     "coefficients_from_samples",
     "cyclic_shift_model",
     "decompose_2n",

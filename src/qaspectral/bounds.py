@@ -2,12 +2,13 @@
 
 """Closed-form spectral-constant bounds and ratio measurement.
 
-The catalog collects every bound the laboratory verifies:
+BOUND_KINDS is the one table of the bounds the laboratory verifies.
+Each row names the tuples a bound covers and its closed form:
 
-* single operator:       2 (1 + 2 r^2 / (r^4 - 1))
-* commuting pair:        4 + 4 q^{1/2} + q^2  with q = (r^2+1)/(r^2-1)
-* doubly commuting n:    ((3 r^2 - 1) / (r^2 - 1))^n
-* lower bounds:          2 for a single operator, 2^n doubly commuting
+* annulus:         single operator,          2 (1 + 2 r^2 / (r^4 - 1))
+* biannulus:       commuting pair,           4 + 4 q^{1/2} + q^2,
+                                             q = (r^2+1)/(r^2-1)
+* polyannulus_dc:  doubly commuting n-tuple, ((3 r^2 - 1) / (r^2 - 1))^n
 
 A spectral ratio is the operator norm of g applied to a tuple divided
 by the certified sup norm of g on the distinguished boundary; observed
@@ -17,13 +18,15 @@ maxima are lower-bound witnesses, never estimates of the optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from .annulus import AnnulusParams, membership
 from .errors import InputError, PreconditionError
 from .laurent import BoundarySpec, LaurentPoly, eval_operators, sup_norm
 from .linalg import DEFAULT_TOL, Tolerance, op_norm
-from .operators import DOUBLY_COMMUTING, OperatorTuple
+from .operators import OperatorTuple
 
 
 def annulus_bound(r: float) -> float:
@@ -40,42 +43,19 @@ def polyannulus_dc_bound(r: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class BoundCatalog:
-    r: float
-    annulus: float
-    biannulus: float
-    polyannulus_dc: dict
-    annulus_lower: float
-    polyannulus_dc_lower: dict
-    limit_caps: dict
+class BoundKind:
+    """The tuples one bound covers and its value upper(r, n_vars)."""
+
+    mode: str
+    n_vars: int | None  # None: any n_vars >= 1
+    upper: Callable[[float, int], float]
 
 
-def bound_catalog(params: AnnulusParams, n_max: int = 3) -> BoundCatalog:
-    """Evaluate every closed form up to n_max variables.
-
-    Construction sanity checks: the biannulus constant is strictly
-    below the two-variable doubly-commuting constant, and the single
-    operator bound decays toward 2 as r grows.
-    """
-    if n_max < 1:
-        raise InputError("n_max must be at least 1")
-    r = params.r
-    catalog = BoundCatalog(
-        r=r,
-        annulus=annulus_bound(r),
-        biannulus=biannulus_bound(r),
-        polyannulus_dc={n: polyannulus_dc_bound(r, n) for n in range(1, n_max + 1)},
-        annulus_lower=2.0,
-        polyannulus_dc_lower={n: 2.0 ** n for n in range(1, n_max + 1)},
-        limit_caps={n: (2.0 ** n, 3.0 ** n) for n in range(1, n_max + 1)},
-    )
-    if catalog.annulus <= 2.0:
-        raise InputError("internal: single-operator bound must exceed 2")
-    if n_max >= 2 and not catalog.biannulus < catalog.polyannulus_dc[2]:
-        raise InputError("internal: biannulus bound must beat the n=2 product bound")
-    if annulus_bound(2.0 * r) - 2.0 >= catalog.annulus - 2.0:
-        raise InputError("internal: excess over 2 must decrease with r")
-    return catalog
+BOUND_KINDS = MappingProxyType({
+    "annulus": BoundKind("single", 1, lambda r, n: annulus_bound(r)),
+    "biannulus": BoundKind("commuting_pair", 2, lambda r, n: biannulus_bound(r)),
+    "polyannulus_dc": BoundKind("doubly_commuting", None, polyannulus_dc_bound),
+})
 
 
 @dataclass(frozen=True)
@@ -124,70 +104,4 @@ def spectral_ratio(
         certified_error=sup.certified_error,
         bound_used=bound,
         passed=ratio <= bound * (1.0 + sup.relative_error),
-    )
-
-
-@dataclass(frozen=True)
-class BoundCheckSummary:
-    kind: str
-    bound: float
-    n_samples: int
-    pass_count: int
-    max_ratio: float
-    reports: list = field(compare=False, default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return self.pass_count == self.n_samples
-
-
-def check_bound(samples, params: AnnulusParams, kind: str) -> BoundCheckSummary:
-    """Run spectral_ratio over (tuple, polynomial) samples against one bound.
-
-    kind selects the bound and pins the admissible tuple shape:
-    'annulus' wants singles, 'biannulus' commuting pairs, 'polyannulus_dc'
-    doubly commuting tuples.  The summary reports the maximum observed
-    ratio, which is a lower-bound witness for the spectral constant.
-    """
-    samples = list(samples)
-    if not samples:
-        raise InputError("check_bound needs at least one sample")
-    if kind == "annulus":
-        want_len = 1
-    elif kind == "biannulus":
-        want_len = 2
-    elif kind == "polyannulus_dc":
-        want_len = None
-    else:
-        raise InputError(f"unknown bound kind {kind!r}")
-
-    reports = []
-    max_ratio = 0.0
-    passes = 0
-    bound = math.nan
-    for T, g in samples:
-        if want_len is not None and len(T) != want_len:
-            raise InputError(
-                f"kind {kind!r} expects tuples of length {want_len}, got {len(T)}"
-            )
-        if kind == "polyannulus_dc":
-            if T.mode != DOUBLY_COMMUTING:
-                raise InputError("kind 'polyannulus_dc' expects doubly commuting tuples")
-            bound_i = polyannulus_dc_bound(params.r, len(T))
-        elif kind == "annulus":
-            bound_i = annulus_bound(params.r)
-        else:
-            bound_i = biannulus_bound(params.r)
-        bound = bound_i if math.isnan(bound) else max(bound, bound_i)
-        rep = spectral_ratio(T, g, params, bound=bound_i)
-        reports.append(rep)
-        max_ratio = max(max_ratio, rep.ratio)
-        passes += int(rep.passed)
-    return BoundCheckSummary(
-        kind=kind,
-        bound=bound,
-        n_samples=len(samples),
-        pass_count=passes,
-        max_ratio=max_ratio,
-        reports=reports,
     )

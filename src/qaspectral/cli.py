@@ -4,22 +4,24 @@
 
 Subcommands: check, dilate, decompose, verify-bounds, scan-extremal,
 report.  Exit codes: 0 on a fully passing run, 1 when any verification
-flag is false, 2 on input errors.
+flag is false, 2 on input errors (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .annulus import AnnulusParams, dilate, membership
+from .bounds import BOUND_KINDS
 from .errors import QASpectralError
 from .extremal import lower_bound_scan
 from .harness import ExperimentConfig, run_experiment, write_report
 from .laurent import LaurentPoly, verify_decomposition_estimates
-from .linalg import load_matrix, save_matrix
+from .linalg import load_json, load_matrix, save_matrix
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -69,8 +71,7 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    payload = json.loads(Path(args.poly).read_text())
-    g = LaurentPoly.from_json_dict(payload)
+    g = LaurentPoly.from_json_dict(load_json(args.poly))
     params = AnnulusParams(args.r)
     which = "bivariate" if g.n_vars == 2 and args.use_biannulus_bounds else "general"
     report = verify_decomposition_estimates(g, params, which=which)
@@ -108,17 +109,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
-    mode = {
-        "annulus": ("single", 1),
-        "biannulus": ("commuting_pair", 2),
-        "polyannulus_dc": ("doubly_commuting", args.n),
-    }[args.kind]
+    kind = BOUND_KINDS[args.kind]
     config = ExperimentConfig(
         r=args.r,
         seed=args.seed,
         n_samples=args.samples,
-        mode=mode[0],
-        n_vars=mode[1],
+        mode=kind.mode,
+        n_vars=args.n if kind.n_vars is None else kind.n_vars,
         dims=tuple(args.dims),
         degrees=tuple(args.degrees),
         bound_kind=args.kind,
@@ -145,18 +142,9 @@ def cmd_scan_extremal(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = {}
-    if args.config:
-        payload = json.loads(Path(args.config).read_text())
-    for key, value in (
-        ("r", args.r),
-        ("seed", args.seed),
-        ("n_samples", args.samples),
-        ("output_path", args.out),
-    ):
-        if value is not None:
-            payload[key] = value
-    config = ExperimentConfig.from_json_dict(payload)
+    config = ExperimentConfig.from_json_dict(load_json(args.config) if args.config else {})
+    overrides = {"r": args.r, "seed": args.seed, "n_samples": args.samples, "output_path": args.out}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     report = run_experiment(config, workers=args.workers)
     json_path, csv_path = write_report(report, config.output_path)
     print(
@@ -199,13 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bounds", help="randomized bound verification, CSV output")
     p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--kind", choices=("annulus", "biannulus", "polyannulus_dc"), default="annulus")
+    p.add_argument("--kind", choices=tuple(BOUND_KINDS), default="annulus")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=2, help="tuple length for polyannulus_dc")
     p.add_argument("--dims", type=_int_list, default=[2, 3, 4])
     p.add_argument("--degrees", type=_int_list, default=[2, 4, 6])
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="no effect; samples run serially")
     p.add_argument("--out", "-o", default="verify_bounds")
     p.set_defaults(func=cmd_verify_bounds)
 
@@ -222,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="no effect; samples run serially")
     p.add_argument("--out", "-o", default=None)
     p.set_defaults(func=cmd_report)
 

@@ -10,14 +10,19 @@ draws on separate tensor legs.
 
 Determinism contract: every sample derives its own counter-based RNG
 stream from (seed, sample_id), so reports are a pure function of the
-configuration and do not depend on evaluation order or worker count.
+configuration and do not depend on evaluation order.  Samples run
+serially; a thread pool measured slower on two cores.
+
+A config's (mode, n_vars, bound_kind) must match a row of
+bounds.BOUND_KINDS; the row also supplies the bound each sample is
+checked against.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,20 +30,14 @@ import numpy as np
 
 from . import __version__
 from .annulus import AnnulusParams, membership
-from .bounds import (
-    RatioReport,
-    annulus_bound,
-    biannulus_bound,
-    polyannulus_dc_bound,
-    spectral_ratio,
-)
+from .bounds import BOUND_KINDS, RatioReport, spectral_ratio
 from .errors import InputError, PreconditionError
 from .laurent import LaurentPoly
-from .linalg import DEFAULT_TOL, Tolerance, kron
+from .linalg import DEFAULT_TOL, Tolerance, is_json_number, kron
 from .operators import COMMUTING, DOUBLY_COMMUTING, OperatorTuple, make_tuple
 
 RNG_ALGORITHM = "philox4x64"
-MODES = ("single", "commuting_pair", "doubly_commuting")
+MODES = tuple(kind.mode for kind in BOUND_KINDS.values())
 REJECTION_BUDGET = 1000
 
 
@@ -90,7 +89,7 @@ def gen_tuple(
     tol: Tolerance = DEFAULT_TOL,
     similarity_cond: float = 1.3,
 ) -> OperatorTuple:
-    """Commuting pair or doubly commuting n-tuple of members.
+    """Single member, commuting pair or doubly commuting n-tuple of members.
 
     commuting_pair: T_j = V D_j V^-1 with one shared random V of
     condition number `similarity_cond` and diagonal moduli pulled in
@@ -100,6 +99,10 @@ def gen_tuple(
     doubly_commuting: T_j = I (x) ... (x) S_j (x) ... (x) I with
     independent singular-surgery legs.
     """
+    if mode == "single":
+        if n != 1:
+            raise InputError("single means n = 1")
+        return make_tuple([gen_qa_operator(dim, params, rng)], tol=tol)
     if mode == "commuting_pair":
         if n != 2:
             raise InputError("commuting_pair means n = 2")
@@ -160,6 +163,16 @@ def gen_laurent(
     return LaurentPoly(n_vars, coeffs)
 
 
+def _has_json_type(value, want: type) -> bool:
+    """Whether a decoded JSON value fits a config field of type `want`;
+    a tuple field takes a list of integers."""
+    if want is float:
+        return is_json_number(value)
+    if want is tuple:
+        return isinstance(value, list) and all(type(x) is int for x in value)
+    return type(value) is want
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     r: float = 2.0
@@ -175,27 +188,41 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "single" and self.n_vars != 1:
-            raise InputError("mode 'single' means n_vars = 1")
-        if self.mode == "commuting_pair" and self.n_vars != 2:
-            raise InputError("mode 'commuting_pair' means n_vars = 2")
+        if self.bound_kind not in BOUND_KINDS:
+            raise InputError(
+                f"bound_kind must be one of {tuple(BOUND_KINDS)}, got {self.bound_kind!r}"
+            )
+        kind = BOUND_KINDS[self.bound_kind]
+        if self.mode != kind.mode:
+            raise InputError(
+                f"bound kind {self.bound_kind!r} checks mode {kind.mode!r}, not {self.mode!r}"
+            )
+        if self.n_vars < 1 or (kind.n_vars is not None and self.n_vars != kind.n_vars):
+            raise InputError(
+                f"bound kind {self.bound_kind!r} cannot check n_vars = {self.n_vars}"
+            )
         if self.n_samples < 1:
             raise InputError("n_samples must be positive")
         if not self.dims or not self.degrees:
             raise InputError("dims and degrees must be nonempty")
-        if self.bound_kind not in ("annulus", "biannulus", "polyannulus_dc"):
-            raise InputError(f"unknown bound kind {self.bound_kind!r}")
+        if min(self.dims) < 1 or min(self.degrees) < 0:
+            raise InputError("dims must be positive and degrees nonnegative")
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
+    def from_json_dict(cls, payload) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise InputError("config JSON must be an object")
+        types = typing.get_type_hints(cls)
+        unknown = set(payload) - set(types)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in payload.items():
+            if not _has_json_type(value, types[key]):
+                raise InputError(f"config key {key!r} has the wrong type: {value!r}")
         payload = dict(payload)
         for key in ("dims", "degrees"):
             if key in payload:
-                payload[key] = tuple(int(x) for x in payload[key])
+                payload[key] = tuple(payload[key])
         return cls(**payload)
 
     def as_json_dict(self) -> dict:
@@ -250,32 +277,15 @@ class Report:
             yield f"{row.sample_id},{row.dim},{row.degree},{row.ratio!r},{row.bound!r},{row.margin!r}"
 
 
-def _bound_for(config: ExperimentConfig, params: AnnulusParams, n: int) -> float:
-    if config.bound_kind == "annulus":
-        return annulus_bound(params.r)
-    if config.bound_kind == "biannulus":
-        return biannulus_bound(params.r)
-    return polyannulus_dc_bound(params.r, n)
-
-
 def evaluate_sample(config: ExperimentConfig, sample_id: int) -> SampleRow:
     """One fully deterministic sample: tuple + polynomial + ratio."""
     params = AnnulusParams(config.r)
     rng = substream(config.seed, sample_id)
     dim = int(config.dims[int(rng.integers(len(config.dims)))])
     degree = int(config.degrees[int(rng.integers(len(config.degrees)))])
-    if config.mode == "single":
-        T = make_tuple([gen_qa_operator(dim, params, rng)])
-    else:
-        T = gen_tuple(
-            "commuting_pair" if config.mode == "commuting_pair" else "doubly_commuting",
-            config.n_vars,
-            dim,
-            params,
-            rng,
-        )
+    T = gen_tuple(config.mode, config.n_vars, dim, params, rng)
     g = gen_laurent(config.n_vars, degree, rng)
-    bound = _bound_for(config, params, config.n_vars)
+    bound = BOUND_KINDS[config.bound_kind].upper(params.r, config.n_vars)
     rep: RatioReport = spectral_ratio(T, g, params, bound=bound)
     margin = bound * (1.0 + rep.certified_error / rep.g_supnorm) - rep.ratio
     return SampleRow(
@@ -290,18 +300,12 @@ def evaluate_sample(config: ExperimentConfig, sample_id: int) -> SampleRow:
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Report:
-    """Evaluate all samples and assemble the deterministic report.
+    """Evaluate all samples in sample_id order and assemble the report.
 
-    Worker count only affects wall time: rows are keyed by sample_id
-    and reassembled in order, and each sample owns its RNG stream.
+    `workers` has no effect; it is accepted so that existing callers
+    keep working.  Samples run serially.
     """
-    ids = list(range(config.n_samples))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda i: evaluate_sample(config, i), ids))
-    else:
-        rows = [evaluate_sample(config, i) for i in ids]
-    rows.sort(key=lambda row: row.sample_id)
+    rows = [evaluate_sample(config, i) for i in range(config.n_samples)]
     return Report(
         config=config,
         rows=rows,

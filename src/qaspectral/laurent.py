@@ -29,7 +29,7 @@ import numpy as np
 
 from .annulus import AnnulusParams
 from .errors import DomainError, InputError
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, is_json_number
 from .operators import OperatorTuple, make_tuple
 
 # Grid floor for certified sup norms: at least this many samples per
@@ -100,11 +100,24 @@ class LaurentPoly:
     def from_json_dict(cls, payload) -> "LaurentPoly":
         if not isinstance(payload, dict) or "n" not in payload or "terms" not in payload:
             raise InputError("Laurent JSON must be an object with 'n' and 'terms'")
+        n, terms = payload["n"], payload["terms"]
+        if type(n) is not int or not isinstance(terms, list):
+            raise InputError("Laurent JSON needs an integer 'n' and a list of 'terms'")
         coeffs = {}
-        for term in payload["terms"]:
-            exp = tuple(int(e) for e in term["exp"])
+        for i, term in enumerate(terms):
+            if not (
+                isinstance(term, dict)
+                and isinstance(term.get("exp"), list)
+                and all(type(e) is int for e in term["exp"])
+                and is_json_number(term.get("re"))
+                and is_json_number(term.get("im"))
+            ):
+                raise InputError(
+                    f"term {i} must be {{'exp': [integers], 're': number, 'im': number}}"
+                )
+            exp = tuple(term["exp"])
             coeffs[exp] = coeffs.get(exp, 0j) + complex(term["re"], term["im"])
-        return cls(int(payload["n"]), coeffs)
+        return cls(n, coeffs)
 
 
 def eval_point(g: LaurentPoly, z) -> complex:

@@ -12,6 +12,7 @@ dimension cap, and the JSON matrix file format.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,24 +127,36 @@ def save_matrix(path, M) -> None:
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
+def is_json_number(x) -> bool:
+    """A decoded JSON number that converts to a finite float; not a bool."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def load_json(path):
+    """Decode a JSON file; an unreadable or undecodable file is an InputError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+
+
 def load_matrix(path) -> np.ndarray:
     """Read the JSON matrix format; rejects non-square payloads."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read matrix from {path}: {exc}") from exc
+    payload = load_json(path)
     if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
         raise InputError(f"{path}: expected an object with 'dim' and 'entries'")
     dim = payload["dim"]
     rows = payload["entries"]
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"{path}: 'dim' must be a positive integer")
-    if len(rows) != dim or any(len(row) != dim for row in rows):
+    if not isinstance(rows, list) or len(rows) != dim or any(
+        not isinstance(row, list) or len(row) != dim for row in rows
+    ):
         raise InputError(f"{path}: entries are not a {dim}x{dim} square array")
     A = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         for j, pair in enumerate(row):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise InputError(f"{path}: entry ({i},{j}) is not a [re, im] pair")
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_json_number, pair))):
+                raise InputError(f"{path}: entry ({i},{j}) is not a [re, im] pair of numbers")
             A[i, j] = complex(pair[0], pair[1])
     return as_matrix(A, str(path))

@@ -5,16 +5,20 @@ import pytest
 
 from qaspectral.annulus import AnnulusParams
 from qaspectral.bounds import (
+    BOUND_KINDS,
     biannulus_bound,
-    bound_catalog,
-    check_bound,
     polyannulus_dc_bound,
     annulus_bound,
     spectral_ratio,
 )
 from qaspectral.errors import InputError, PreconditionError
-from qaspectral.harness import gen_laurent, gen_qa_operator, gen_tuple, substream
-from qaspectral.laurent import LaurentPoly
+from qaspectral.harness import gen_laurent, substream
+from qaspectral.laurent import (
+    LaurentPoly,
+    all_sign_patterns,
+    bivariate_part_bounds,
+    sign_pattern_bound,
+)
 from qaspectral.operators import make_tuple
 
 R2 = AnnulusParams(2.0)
@@ -24,6 +28,7 @@ class TestCatalog:
     def test_annulus_bound_value(self):
         assert annulus_bound(2.0) == pytest.approx(46 / 15)
         assert annulus_bound(2.0) == pytest.approx(3.06667, abs=1e-5)
+        assert BOUND_KINDS["annulus"].upper(2.0, 1) == annulus_bound(2.0)
 
     def test_biannulus_value(self):
         expected = 4 + (5 / 3) ** 2 + 4 * math.sqrt(5 / 3)
@@ -34,13 +39,20 @@ class TestCatalog:
         assert polyannulus_dc_bound(2.0, 2) == pytest.approx((11 / 3) ** 2)
         assert biannulus_bound(2.0) < polyannulus_dc_bound(2.0, 2)
 
-    def test_catalog_assembly(self):
-        cat = bound_catalog(R2, n_max=3)
-        assert cat.annulus == pytest.approx(46 / 15)
-        assert cat.polyannulus_dc[3] == pytest.approx((11 / 3) ** 3)
-        assert cat.annulus_lower == 2.0
-        assert cat.polyannulus_dc_lower[3] == 8.0
-        assert cat.limit_caps[2] == (4.0, 9.0)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1.3, 2.0, 4.0])
+    def test_product_bound_is_sum_of_part_estimates(self, r, n):
+        # binomial expansion of ((3r^2-1)/(r^2-1))^n over the 2^n sign patterns
+        params = AnnulusParams(r)
+        parts = sum(sign_pattern_bound(params, n, mu.t) for mu in all_sign_patterns(n))
+        assert polyannulus_dc_bound(r, n) == pytest.approx(parts, rel=1e-14, abs=0)
+        assert BOUND_KINDS["polyannulus_dc"].upper(r, n) == polyannulus_dc_bound(r, n)
+
+    @pytest.mark.parametrize("r", [1.3, 2.0, 4.0])
+    def test_biannulus_bound_is_sum_of_part_estimates(self, r):
+        b = bivariate_part_bounds(AnnulusParams(r))
+        assert biannulus_bound(r) == pytest.approx(b.b1 + b.b2 + b.b3 + b.b4, rel=1e-14, abs=0)
+        assert BOUND_KINDS["biannulus"].upper(r, 2) == biannulus_bound(r)
 
     def test_monotone_nonincreasing_in_r(self):
         rs = np.logspace(math.log10(1.02), 2, 50)
@@ -55,10 +67,6 @@ class TestCatalog:
     def test_biannulus_strictly_sharper_on_grid(self):
         for r in np.logspace(math.log10(1.01), 2, 50):
             assert biannulus_bound(r) < polyannulus_dc_bound(r, 2)
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(InputError):
-            bound_catalog(R2, n_max=0)
 
 
 class TestSpectralRatio:
@@ -97,54 +105,15 @@ class TestSpectralRatio:
         with pytest.raises(InputError):
             spectral_ratio(T, LaurentPoly(1, {}), R2)
 
-
-class TestCheckBound:
-    def test_single_operator_batch(self):
-        samples = []
-        for k in range(25):
-            rng = substream(61, k)
-            T = make_tuple([gen_qa_operator(int(rng.integers(1, 5)), R2, rng)])
-            samples.append((T, gen_laurent(1, 6, rng)))
-        summary = check_bound(samples, R2, "annulus")
-        assert summary.all_passed
-        assert summary.max_ratio <= annulus_bound(2.0)
-        assert summary.bound == pytest.approx(annulus_bound(2.0))
-
-    def test_commuting_pair_batch(self):
-        samples = []
-        for k in range(10):
-            rng = substream(62, k)
-            T = gen_tuple("commuting_pair", 2, 3, R2, rng)
-            samples.append((T, gen_laurent(2, 4, rng)))
-        summary = check_bound(samples, R2, "biannulus")
-        assert summary.all_passed
-        assert summary.max_ratio <= biannulus_bound(2.0)
-
-    def test_doubly_commuting_batch(self):
-        samples = []
-        for k in range(6):
-            rng = substream(63, k)
-            T = gen_tuple("doubly_commuting", 2, 2, R2, rng)
-            samples.append((T, gen_laurent(2, 4, rng)))
-        summary = check_bound(samples, R2, "polyannulus_dc")
-        assert summary.all_passed
-        assert summary.max_ratio <= polyannulus_dc_bound(2.0, 2)
-
     def test_constant_polynomial_trivial_ratio(self):
         T = make_tuple([np.diag([2.0, 0.5])])
         g = LaurentPoly(1, {(0,): 3.0})
-        summary = check_bound([(T, g)], R2, "annulus")
-        assert summary.max_ratio == pytest.approx(1.0, abs=1e-12)
-        assert summary.all_passed
+        rep = spectral_ratio(T, g, R2, bound=annulus_bound(2.0))
+        assert rep.ratio == pytest.approx(1.0, abs=1e-12)
+        assert rep.passed
 
     def test_shape_mismatch_rejected(self):
         T = make_tuple([np.eye(2), np.eye(2)])
-        g = LaurentPoly(2, {(1, 1): 1.0})
+        g = LaurentPoly(1, {(1,): 1.0})
         with pytest.raises(InputError):
-            check_bound([(T, g)], R2, "annulus")
-
-    def test_dc_requires_doubly_commuting_mode(self):
-        T = make_tuple([np.eye(2), np.eye(2)], mode="commuting")
-        g = LaurentPoly(2, {(1, 1): 1.0})
-        with pytest.raises(InputError):
-            check_bound([(T, g)], R2, "polyannulus_dc")
+            spectral_ratio(T, g, R2)

@@ -1,9 +1,19 @@
+import contextlib
+import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qaspectral.bounds import BOUND_KINDS
 from qaspectral.cli import main
+from qaspectral.errors import InputError
+from qaspectral.harness import MODES, ExperimentConfig
 from qaspectral.laurent import LaurentPoly
 from qaspectral.linalg import load_matrix, save_matrix
 
@@ -29,6 +39,23 @@ def test_check_missing_file_is_input_error(tmp_path):
 
 def test_check_bad_radius_is_input_error(member_file):
     assert main(["check", "--matrix", str(member_file), "--r", "0.5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dim": 1, "entries": 5},
+        {"dim": 1, "entries": [5]},
+        {"dim": 1, "entries": [[["a", 1]]]},
+        {"dim": 1, "entries": [[[10 ** 400, 0]]]},
+    ],
+    ids=["entries-not-a-list", "row-not-a-list", "string-entry", "entry-beyond-float"],
+)
+def test_check_malformed_matrix_is_input_error(tmp_path, capsys, payload):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check", "--matrix", str(path)]) == 2
+    assert _stderr_is_one_line(capsys)
 
 
 def test_dilate_writes_matrix_and_verification(tmp_path, capsys):
@@ -123,3 +150,140 @@ def test_report_cli_overrides(tmp_path):
 
 def test_unknown_command_is_input_error():
     assert main(["frobnicate"]) == 2
+
+
+def _stderr_is_one_line(capsys):
+    err = capsys.readouterr().err
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"n": 1, "terms": [{"exp": [1], "im": 0.0}]}),
+        "not json",
+        json.dumps({"n": 1, "terms": 5}),
+    ],
+    ids=["term-without-re", "not-json", "terms-not-a-list"],
+)
+def test_decompose_malformed_file_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert main(["decompose", "--poly", str(path)]) == 2
+    assert _stderr_is_one_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1]", json.dumps({"dims": 3}), "not json", json.dumps({"r": "x"})],
+    ids=["list", "dims-not-a-list", "not-json", "r-not-a-number"],
+)
+def test_report_malformed_config_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "rep")]) == 2
+    assert _stderr_is_one_line(capsys)
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, n_vars, bound_kind",
+    [
+        ("single", 1, "polyannulus_dc"),
+        ("commuting_pair", 2, "annulus"),
+        ("doubly_commuting", 2, "biannulus"),
+        ("single", 2, "annulus"),
+    ],
+)
+def test_mismatched_triple_is_input_error(tmp_path, capsys, mode, n_vars, bound_kind):
+    triple = {"mode": mode, "n_vars": n_vars, "bound_kind": bound_kind}
+    with pytest.raises(InputError):
+        ExperimentConfig(**triple)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**triple, "n_samples": 1, "dims": [1], "degrees": [1]}))
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "rep")]) == 2
+    assert _stderr_is_one_line(capsys)
+    assert not (tmp_path / "rep.json").exists()
+
+
+# Fuzzing main() on arbitrary file contents.  Numbers come only from the
+# small ranges below, so every payload that passes validation runs in
+# milliseconds; junk values carry no numbers at all.
+CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+KEYS = st.text(max_size=4).filter(lambda k: k not in CONFIG_KEYS)
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.floats(-8, 8) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_junk(strategy):
+    return st.one_of(strategy, JUNK)
+
+
+TERM = _or_junk(
+    st.fixed_dictionaries(
+        {"exp": _or_junk(st.lists(st.integers(-4, 4), max_size=3))},
+        optional={
+            "re": _or_junk(st.floats(-10, 10) | st.integers(-3, 3)),
+            "im": _or_junk(st.floats(-10, 10)),
+        },
+    )
+)
+POLY = st.fixed_dictionaries(
+    {"n": _or_junk(st.integers(-1, 2)), "terms": _or_junk(st.lists(TERM, max_size=4))}
+)
+CONFIG = st.fixed_dictionaries(
+    {
+        "dims": _or_junk(st.lists(st.integers(-1, 3), max_size=3)),
+        "degrees": _or_junk(st.lists(st.integers(-1, 4), max_size=3)),
+        "n_samples": _or_junk(st.integers(-1, 2)),
+    },
+    optional={
+        "r": _or_junk(st.floats(1.5, 4) | st.sampled_from([2, 0.5, -1.0])),
+        "seed": _or_junk(st.integers(0, 9)),
+        "mode": _or_junk(st.sampled_from(MODES)),
+        "n_vars": _or_junk(st.integers(-1, 2)),
+        "bound_kind": _or_junk(st.sampled_from(tuple(BOUND_KINDS))),
+        "output_path": JUNK,
+    },
+)
+
+
+def _file_contents(payload):
+    return st.one_of(
+        payload.map(lambda p: json.dumps(p).encode()),
+        ANY_JSON.map(lambda p: json.dumps(p).encode()),
+        st.text(max_size=12).map(str.encode),
+        st.binary(max_size=12),
+    )
+
+
+def _run_on_file(argv, flag, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [flag, str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_file_contents(POLY))
+def test_decompose_never_raises(content):
+    _run_on_file(["decompose"], "--poly", content)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_file_contents(CONFIG))
+def test_report_never_raises(content):
+    _run_on_file(["report"], "--config", content)

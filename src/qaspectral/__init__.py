@@ -9,7 +9,6 @@ from .annulus import (
     DilationResult,
     MembershipReport,
     annulus_defect,
-    associated_unitary,
     dilate,
     membership,
     scalar_unitary_family,
@@ -44,7 +43,7 @@ from .harness import (
     gen_tuple,
     run_experiment,
 )
-from .hyperbola import BiballLift, VarietyPoint, biball_lift, boundary_probe, phi_map
+from .hyperbola import BiballLift, biball_lift
 from .laurent import (
     BoundarySpec,
     LaurentPoly,
@@ -56,11 +55,10 @@ from .laurent import (
     eval_operators,
     eval_point,
     sign_pattern_bound,
-    split_univariate,
     sup_norm,
     verify_decomposition_estimates,
 )
-from .linalg import Tolerance, kron, op_norm, psd_sqrt
+from .linalg import Tolerance, kron, op_norm
 from .operators import OperatorTuple, make_tuple
 
 __all__ = [
@@ -84,14 +82,11 @@ __all__ = [
     "ShiftModel",
     "SignPattern",
     "Tolerance",
-    "VarietyPoint",
     "annulus_bound",
     "annulus_defect",
-    "associated_unitary",
     "biannulus_bound",
     "biball_lift",
     "bivariate_part_bounds",
-    "boundary_probe",
     "cauchy_check",
     "coefficients_from_samples",
     "cyclic_shift_model",
@@ -106,14 +101,11 @@ __all__ = [
     "make_tuple",
     "membership",
     "op_norm",
-    "phi_map",
     "polyannulus_dc_bound",
-    "psd_sqrt",
     "run_experiment",
     "scalar_unitary_family",
     "sign_pattern_bound",
     "spectral_ratio",
-    "split_univariate",
     "sup_norm",
     "tensor_criterion",
     "verify_decomposition_estimates",

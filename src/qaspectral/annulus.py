@@ -11,7 +11,8 @@ positivity of the Hermitian defect
 and operators with a vanishing defect ("quantum annulus unitaries") have all
 singular values in {r, 1/r}.  Every member extends to such an operator
 on a doubled space via an explicit 2x2 block matrix; this module builds
-that extension and the companion unitary constructions.
+that extension, the isometry criterion for A (x) J + B (x) J^{-*} and
+its scalar solution family.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class AnnulusParams:
     """Radius r > 1 with the constants that appear in every formula.
 
     c_r = r^2 + r^-2 is the defect offset, a_r = 1/sqrt(c_r) the biball
-    scaling.
+    scaling.  A radius whose c_r overflows a float is refused.
     """
 
     r: float
@@ -49,9 +50,12 @@ class AnnulusParams:
         r = float(self.r)
         if not np.isfinite(r) or r <= 1.0:
             raise InputError(f"annulus radius must satisfy r > 1, got {r}")
+        c_r = r * r + r ** -2
+        if not np.isfinite(c_r):
+            raise InputError(f"annulus radius {r} is too large: r^2 + r^-2 overflows")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c_r", r * r + r ** -2)
-        object.__setattr__(self, "a_r", 1.0 / np.sqrt(r * r + r ** -2))
+        object.__setattr__(self, "c_r", c_r)
+        object.__setattr__(self, "a_r", 1.0 / np.sqrt(c_r))
 
 
 @dataclass(frozen=True)
@@ -221,41 +225,6 @@ def dilate(
         compression_errors=compression_errors,
         gram_error=gram_error,
     )
-
-
-def associated_unitary(
-    J,
-    params: AnnulusParams,
-    pad: bool = False,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
-    """The unitary U = r (1 + r^2)^-1 (J + J^{-*}) of a qa-unitary J.
-
-    With pad=True the construction runs on J + [r] + [1/r] (one extra
-    diagonal entry each), which forces both norms ||J_0|| = ||J_0^-1|| = r
-    to be attained without changing the defect.
-    """
-    A = as_matrix(J)
-    report = membership(A, params, tol)
-    if not report.is_qa_unitary:
-        raise PreconditionError(
-            "associated_unitary requires a vanishing defect for J"
-        )
-    if pad:
-        k = A.shape[0]
-        J0 = np.zeros((k + 2, k + 2), dtype=complex)
-        J0[:k, :k] = A
-        J0[k, k] = params.r
-        J0[k + 1, k + 1] = 1.0 / params.r
-    else:
-        J0 = A
-    U = (params.r / (1.0 + params.r ** 2)) * (J0 + adjoint(np.linalg.inv(J0)))
-    unitary_defect = op_norm(adjoint(U) @ U - np.eye(U.shape[0]))
-    if unitary_defect > max(tol.abs, 1e3 * np.finfo(float).eps * params.c_r):
-        raise DomainError(
-            f"constructed U failed the unitary check: ||U*U - I|| = {unitary_defect:.3e}"
-        )
-    return U
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,10 @@ Each row names the tuples a bound covers and its closed form:
                                              q = (r^2+1)/(r^2-1)
 * polyannulus_dc:  doubly commuting n-tuple, ((3 r^2 - 1) / (r^2 - 1))^n
 
+The closed forms are evaluated in s = r^-2 (2 (1 + 2 s / (1 - s^2)),
+q = (1 + s) / (1 - s), ((3 - s) / (1 - s))^n), so no finite r
+overflows them.
+
 A spectral ratio is the operator norm of g applied to a tuple divided
 by the certified sup norm of g on the distinguished boundary; observed
 maxima are lower-bound witnesses, never estimates of the optimum.
@@ -30,16 +34,19 @@ from .operators import OperatorTuple
 
 
 def annulus_bound(r: float) -> float:
-    return 2.0 * (1.0 + 2.0 * r * r / (r ** 4 - 1.0))
+    s = r ** -2
+    return 2.0 * (1.0 + 2.0 * s / (1.0 - s * s))
 
 
 def biannulus_bound(r: float) -> float:
-    q = (r * r + 1.0) / (r * r - 1.0)
+    s = r ** -2
+    q = (1.0 + s) / (1.0 - s)
     return 4.0 + 4.0 * math.sqrt(q) + q * q
 
 
 def polyannulus_dc_bound(r: float, n: int) -> float:
-    return ((3.0 * r * r - 1.0) / (r * r - 1.0)) ** n
+    s = r ** -2
+    return ((3.0 - s) / (1.0 - s)) ** n
 
 
 @dataclass(frozen=True)

@@ -62,15 +62,6 @@ def cyclic_shift_model(p: int, params: AnnulusParams) -> ShiftModel:
     return ShiftModel(p=p, r=r, weights=weights, S=S)
 
 
-def xi_profile(p: int, params: AnnulusParams) -> np.ndarray:
-    """One period of the bilateral weight profile: xi_q = r^q going up,
-    r^{p-q} coming down; the cyclic weights are its ratios."""
-    r = params.r
-    return np.array(
-        [r ** q for q in range(p)] + [r ** (p - q) for q in range(p)]
-    )
-
-
 def witness_function(m: int, params: AnnulusParams) -> LaurentPoly:
     """g_m(z) = r^-m (z^m + z^-m); sup over the closed annulus is 1 + r^-2m."""
     if m < 1:

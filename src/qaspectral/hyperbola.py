@@ -1,16 +1,14 @@
 # src/qaspectral/hyperbola.py
 
-"""The annulus-hyperbola correspondence and the biball lift.
+"""The biball lift of a quantum-annulus operator.
 
-The annulus embeds into the bidisc as the hyperbola zw = 1/r^2 through
-phi(z) = (z/r, 1/(rz)), and into the variety zw = 1/c_r inside the
-Euclidean biball through z -> (a_r z, a_r / z).  Lifting an operator T
-through the doubled-space extension produces a pair (A_hat, B_hat)
+The annulus embeds into the variety zw = 1/c_r inside the Euclidean
+biball through z -> (a_r z, a_r / z).  Lifting an operator T through
+the doubled-space extension produces a commuting pair (A_hat, B_hat)
 sitting on the operator version of that variety, together with a
 unitary combination used in the second route to the single-operator
-bound.  Joint-spectrum statements are probed on eigenvalue pairs in a
-shared Schur basis; that finite-dimensional surrogate is all the desk
-model asserts.
+bound.  The product defect ||A_hat B_hat - I / c_r|| certifies that
+the pair lies on the variety, and with it every joint eigenvalue pair.
 """
 
 from __future__ import annotations
@@ -19,60 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .annulus import AnnulusParams, dilate, membership
-from .errors import DomainError, InputError, PreconditionError
-from .laurent import BoundarySpec, LaurentPoly
+from .errors import DomainError, PreconditionError
 from .linalg import DEFAULT_TOL, Tolerance, adjoint, as_matrix, op_norm
-
-
-@dataclass(frozen=True)
-class VarietyPoint:
-    """A bidisc point with its residuals against the two varieties."""
-
-    z: complex
-    w: complex
-    residual_H: float
-    residual_q0: float
-
-    @classmethod
-    def at(cls, z, w, params: AnnulusParams) -> "VarietyPoint":
-        z, w = complex(z), complex(w)
-        return cls(
-            z=z,
-            w=w,
-            residual_H=abs(z * w - params.r ** -2),
-            residual_q0=abs(z * w - 1.0 / params.c_r),
-        )
-
-    def on_hyperbola(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.residual_H <= tol.abs and max(abs(self.z), abs(self.w)) <= 1.0 + tol.abs
-
-    def in_biball_variety(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return (
-            self.residual_q0 <= tol.abs
-            and abs(self.z) ** 2 + abs(self.w) ** 2 <= 1.0 + tol.abs
-        )
-
-
-def phi_map(z, params: AnnulusParams, direction: str = "forward"):
-    """The annulus maps: forward z -> (z/r, 1/(rz)); inverse (z, w) -> rz;
-    biball z -> (a_r z, a_r / z)."""
-    r = params.r
-    if direction == "inverse":
-        pair = np.asarray(z, dtype=complex).reshape(-1)
-        if pair.size != 2:
-            raise InputError("inverse direction expects a (z, w) pair")
-        return complex(r * pair[0])
-    zc = complex(z)
-    if zc == 0:
-        raise DomainError("phi_map is undefined at z = 0")
-    if direction == "forward":
-        return (zc / r, 1.0 / (r * zc))
-    if direction == "biball":
-        return (params.a_r * zc, params.a_r / zc)
-    raise InputError(f"unknown direction {direction!r}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +28,6 @@ class BiballLift:
     A_hat: np.ndarray
     B_hat: np.ndarray
     U: np.ndarray
-    eig_residuals: np.ndarray
     unitary_defect: float
     product_defect: float
 
@@ -90,10 +37,8 @@ def biball_lift(T, params: AnnulusParams, tol: Tolerance = DEFAULT_TOL) -> Bibal
 
     A_hat = a_r hat_T and B_hat = a_r hat_T^-1 satisfy
     A_hat B_hat = I / c_r, and U = (sqrt(r^4 + 1) / (r^2 + 1)) (A_hat + B_hat*)
-    is unitary.  eig_residuals pairs the triangularised eigenvalues of
-    (A_hat, B_hat) in one Schur basis of hat_T and reports
-    |lambda mu - 1/c_r| per pair, the finite surrogate for the joint
-    spectrum sitting on the variety.
+    is unitary.  The scale is evaluated as sqrt(1 + s^2) / (1 + s) with
+    s = r^-2, so no accepted r overflows it.
     """
     A = as_matrix(T)
     if not membership(A, params, tol).in_qa:
@@ -101,16 +46,12 @@ def biball_lift(T, params: AnnulusParams, tol: Tolerance = DEFAULT_TOL) -> Bibal
     hat = dilate(A, params, n_range=(), tol=tol).hat_T
     A_hat = params.a_r * hat
     B_hat = params.a_r * np.linalg.inv(hat)
-    U = (math.sqrt(params.r ** 4 + 1.0) / (params.r ** 2 + 1.0)) * (A_hat + adjoint(B_hat))
+    s = params.r ** -2
+    U = (math.sqrt(1.0 + s * s) / (1.0 + s)) * (A_hat + adjoint(B_hat))
 
     eye = np.eye(hat.shape[0])
     unitary_defect = op_norm(adjoint(U) @ U - eye)
     product_defect = op_norm(A_hat @ B_hat - eye / params.c_r)
-
-    _, Q = scipy.linalg.schur(hat, output="complex")
-    lam = np.diag(adjoint(Q) @ A_hat @ Q)
-    mu = np.diag(adjoint(Q) @ B_hat @ Q)
-    eig_residuals = np.abs(lam * mu - 1.0 / params.c_r)
 
     if unitary_defect > max(tol.abs, 1e3 * np.finfo(float).eps * params.c_r):
         raise DomainError(
@@ -120,70 +61,6 @@ def biball_lift(T, params: AnnulusParams, tol: Tolerance = DEFAULT_TOL) -> Bibal
         A_hat=A_hat,
         B_hat=B_hat,
         U=U,
-        eig_residuals=eig_residuals,
         unitary_defect=unitary_defect,
         product_defect=product_defect,
-    )
-
-
-def pullback_through_phi(f: LaurentPoly, params: AnnulusParams) -> LaurentPoly:
-    """Substitute (z, w) = (z/r, 1/(rz)): a term z^a w^b becomes
-    r^{-(a+b)} z^{a-b}."""
-    if f.n_vars != 2:
-        raise InputError("expected a polynomial in (z, w)")
-    coeffs = {}
-    for (a, b), c in f.coeffs.items():
-        key = (a - b,)
-        coeffs[key] = coeffs.get(key, 0j) + c * params.r ** (-(a + b))
-    return LaurentPoly(1, coeffs)
-
-
-@dataclass(frozen=True)
-class BoundaryProbe:
-    sup_value: float
-    arg_radius: float
-    boundary_attained: bool
-
-
-def boundary_probe(
-    f: LaurentPoly,
-    params: AnnulusParams,
-    grid: BoundarySpec | None = None,
-    num_radii: int = 33,
-) -> BoundaryProbe:
-    """Scan |f o phi| over the closed annulus on log-spaced circles.
-
-    The pullback is a one-variable Laurent polynomial; the probe
-    reports where its maximum lands and whether that radius is an
-    endpoint of [1/r, r] within grid resolution (the maximum principle
-    says it always should be).  `grid` supplies the angular sample
-    density; the radial density is the probe's own knob.
-    """
-    if num_radii < 3:
-        raise InputError("need at least 3 radii to probe the interior")
-    h = pullback_through_phi(f, params)
-    radii = np.exp(np.linspace(-math.log(params.r), math.log(params.r), num_radii))
-    if h.is_zero:
-        return BoundaryProbe(sup_value=0.0, arg_radius=float(radii[0]), boundary_attained=True)
-    if grid is None:
-        grid = BoundarySpec("polyannulus_distinguished", params.r)
-    samples_per_circle = grid.grid_size(h)
-    angles = 2.0 * math.pi * np.arange(samples_per_circle) / samples_per_circle
-    best_val = -1.0
-    best_radius = radii[0]
-    for rho in radii:
-        pts = rho * np.exp(1j * angles)
-        vals = np.zeros_like(pts)
-        for (e,), c in h.coeffs.items():
-            vals = vals + c * pts ** e
-        m = float(np.abs(vals).max())
-        if m > best_val:
-            best_val = m
-            best_radius = float(rho)
-    step = radii[1] / radii[0]
-    attained = best_radius <= radii[0] * step or best_radius >= radii[-1] / step
-    return BoundaryProbe(
-        sup_value=best_val,
-        arg_radius=best_radius,
-        boundary_attained=bool(attained),
     )

@@ -5,18 +5,17 @@
 A LaurentPoly is a finite map from integer exponent vectors to complex
 coefficients.  The module provides point and operator evaluation,
 certified supremum norms on polycircle boundaries, coefficient
-extraction by discrete contour quadrature, the univariate
-constant/analytic/principal split, the 2^n sign-pattern decomposition,
-and the closed-form decomposition estimates.
+extraction by discrete contour quadrature, the 2^n sign-pattern
+decomposition, and the closed-form decomposition estimates.
 
-Sup norms are certified: the reported value is a true lower bound of
-the supremum (it is |g| evaluated at an actual point), and the
-certified error bounds the gap to the true supremum via the
-coefficient-based angular-derivative bound
+Sup norms are certified: the reported value is the maximum of |g| over
+a uniform N-point-per-circle grid, so it is |g| at the reported grid
+point up to FFT roundoff, and the certified error bounds the gap to the
+true supremum via the coefficient-based angular-derivative bound
 
     D = sum_nu |a_nu| (sum_i |nu_i|) prod_i rho_i^{nu_i},
 
-so |sup - value| <= D * pi / N for an N-point-per-circle grid.
+so |sup - value| <= D * pi / N.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annulus import AnnulusParams
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, ResourceError
 from .linalg import DEFAULT_TOL, Tolerance, is_json_number
 from .operators import OperatorTuple, make_tuple
 
@@ -36,6 +35,9 @@ from .operators import OperatorTuple, make_tuple
 # circle, and at least 32 per unit of total degree.
 MIN_SAMPLES = 256
 SAMPLES_PER_DEGREE = 32
+# Grid evaluations building a complex array above this many entries are
+# refused.
+GRID_CAP = 2 ** 24
 
 
 class LaurentPoly:
@@ -244,13 +246,30 @@ def _coeff_box(g: LaurentPoly, radii) -> np.ndarray:
     return box
 
 
+def _check_grid(g: LaurentPoly, N: int, full_axes: int) -> None:
+    """Refuse a grid that aliases or whose FFT array exceeds GRID_CAP.
+
+    Transforming the first `full_axes` axes of the exponent box onto
+    N points each builds N^full_axes times the remaining box widths
+    entries; the check runs before anything of that size is allocated.
+    """
+    exps = np.array(list(g.coeffs.keys()), dtype=int).reshape(-1, g.n_vars)
+    widths = [int(w) for w in exps.max(axis=0) - exps.min(axis=0) + 1]
+    if any(w > N for w in widths):
+        raise InputError("grid too coarse for the exponent spread")
+    size = N ** full_axes * math.prod(widths[full_axes:])
+    if size > GRID_CAP:
+        raise ResourceError(
+            f"a {N}-point grid in {g.n_vars} variables needs {size} entries, "
+            f"above the cap {GRID_CAP}"
+        )
+
+
 def _torus_values(g: LaurentPoly, radii, N: int) -> np.ndarray:
     """|g| evaluated on the full N^n grid of the torus (up to phases)."""
-    box = _coeff_box(g, radii)
-    if any(w > N for w in box.shape):
-        raise InputError("grid too coarse for the exponent spread")
-    vals = box
-    for axis in range(box.ndim):
+    _check_grid(g, N, g.n_vars)
+    vals = _coeff_box(g, radii)
+    for axis in range(g.n_vars):
         # ifft * N evaluates sum_k c_k e^{+i k theta} on the uniform grid
         vals = np.fft.ifft(vals, n=N, axis=axis) * N
     return vals
@@ -263,10 +282,9 @@ def _grid_argmax(g: LaurentPoly, radii, N: int):
     a trigonometric polynomial in the last angle whose modulus is
     bounded by the l1 norm of its coefficients, so slices that cannot
     beat the running maximum are skipped without being evaluated.
+    The caller has run _check_grid with max(n - 1, 1) full axes.
     """
     box = _coeff_box(g, radii)
-    if any(w > N for w in box.shape):
-        raise InputError("grid too coarse for the exponent spread")
     n = box.ndim
     if n == 1:
         vals = np.fft.ifft(box, n=N) * N
@@ -281,7 +299,8 @@ def _grid_argmax(g: LaurentPoly, radii, N: int):
     flat = part.reshape(-1, part.shape[-1])
     best = -1.0
     best_idx = None
-    chunk = 1024
+    # each batch of slices is evaluated as one chunk x N array
+    chunk = min(1024, GRID_CAP // N)
     for start in range(0, order.size, chunk):
         batch = order[start : start + chunk]
         if slice_bound.flat[batch[0]] <= best:
@@ -296,60 +315,21 @@ def _grid_argmax(g: LaurentPoly, radii, N: int):
     return best, best_idx
 
 
-def _golden_refine(g: LaurentPoly, radii, theta0: np.ndarray, halfwidth: float) -> tuple:
-    """Coordinate-wise golden-section polish of |g| around a grid point.
-
-    Returns (value, point).  Evaluations use the exact term sum, so the
-    result is always a true lower bound for the supremum.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    radii = np.asarray(radii, dtype=float)
-
-    def val(theta: np.ndarray) -> float:
-        return abs(eval_point(g, radii * np.exp(1j * theta)))
-
-    theta = theta0.astype(float).copy()
-    best = val(theta)
-    for _ in range(2):
-        for axis in range(len(theta)):
-            a = theta[axis] - halfwidth
-            b = theta[axis] + halfwidth
-
-            def f(t: float) -> float:
-                probe = theta.copy()
-                probe[axis] = t
-                return val(probe)
-
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            fc, fd = f(c), f(d)
-            for _ in range(40):
-                if fc > fd:
-                    b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
-                    fc = f(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
-                    fd = f(d)
-            t_best = c if fc > fd else d
-            v_best = max(fc, fd)
-            if v_best > best:
-                best = v_best
-                theta[axis] = t_best
-    return best, theta
-
-
-def sup_norm(g: LaurentPoly, spec: BoundarySpec, refine: bool = True) -> SupNormResult:
+def sup_norm(g: LaurentPoly, spec: BoundarySpec) -> SupNormResult:
     """Certified supremum norm of |g| over the boundary in `spec`.
 
-    The value is the maximum of |g| over the sampled grids, polished by
-    a local golden-section search; the certified error is
+    The value is the maximum of |g| over the N-per-circle grids of all
+    tori, and arg_point the grid point where it is found; the value
+    equals |g(arg_point)| up to FFT roundoff.  The certified error is
     max over tori of D * pi / N with D the angular-derivative bound.
+    Grids whose FFT array would exceed GRID_CAP entries raise
+    ResourceError; a value or certificate that overflows raises
+    DomainError.
     """
     if g.is_zero:
         return SupNormResult(value=0.0, certified_error=0.0, arg_point=())
     N = spec.grid_size(g)
+    _check_grid(g, N, max(g.n_vars - 1, 1))
     exps = np.array(list(g.coeffs.keys()), dtype=int).reshape(-1, g.n_vars)
     abs_c = np.abs(np.array([g.coeffs[tuple(e)] for e in exps], dtype=complex))
     total_deg = np.abs(exps).sum(axis=1)
@@ -361,21 +341,15 @@ def sup_norm(g: LaurentPoly, spec: BoundarySpec, refine: bool = True) -> SupNorm
         rho = np.asarray(radii, dtype=float)
         D = float(np.sum(abs_c * total_deg * np.prod(rho ** exps, axis=1)))
         worst_D = max(worst_D, D)
-        grid_val, idx = _grid_argmax(g, radii, N)
-        theta0 = 2.0 * math.pi * np.asarray(idx, dtype=float) / N
-        if refine:
-            val, theta = _golden_refine(g, radii, theta0, math.pi / N)
-            val = max(val, grid_val)
-        else:
-            val, theta = grid_val, theta0
+        val, idx = _grid_argmax(g, radii, N)
         if val > best_val:
             best_val = val
+            theta = 2.0 * math.pi * np.asarray(idx, dtype=float) / N
             best_point = tuple(rho * np.exp(1j * theta))
-    return SupNormResult(
-        value=best_val,
-        certified_error=worst_D * math.pi / N,
-        arg_point=best_point,
-    )
+    certified_error = worst_D * math.pi / N
+    if not math.isfinite(best_val + certified_error):
+        raise DomainError("the sup norm overflows a float on these tori")
+    return SupNormResult(value=best_val, certified_error=certified_error, arg_point=best_point)
 
 
 def coefficients_from_samples(samples, window, drop_tol: float = 1e-13) -> LaurentPoly:
@@ -435,19 +409,6 @@ def _grid_phase(g: LaurentPoly, N: int) -> np.ndarray:
     return phase
 
 
-def reconstruction_residual(samples, g: LaurentPoly) -> float:
-    """Max deviation between given samples and g on the same unit grid.
-
-    This is the truncation residual when a non-polynomial function was
-    pushed through coefficients_from_samples with a finite window.
-    """
-    arr = np.asarray(samples, dtype=complex)
-    if g.is_zero:
-        return float(np.abs(arr).max())
-    back = sample_grid(g, arr.shape[0])
-    return float(np.abs(arr - back).max())
-
-
 def cauchy_check(g: LaurentPoly, params: AnnulusParams, supnorm: float) -> bool:
     """Coefficient bound |a_nu| <= supnorm / r^{sum |nu_i|} for every term.
 
@@ -458,37 +419,6 @@ def cauchy_check(g: LaurentPoly, params: AnnulusParams, supnorm: float) -> bool:
         if abs(c) > supnorm / params.r ** sum(abs(e) for e in exp) + 1e-10:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class UnivariateSplit:
-    a0: complex
-    g_plus: LaurentPoly
-    g_minus: LaurentPoly
-
-
-def split_univariate(g: LaurentPoly) -> UnivariateSplit:
-    """Split g(z) = a0 + z g+(z) + (1/z) g-(1/z) by exponent sign.
-
-    g+ carries coefficients a_{k+1} at exponent k >= 0, g- carries
-    a_{-(k+1)} at exponent k >= 0, so the reconstruction identity holds
-    coefficient by coefficient.
-    """
-    if g.n_vars != 1:
-        raise InputError("split_univariate requires a univariate polynomial")
-    a0 = g.coeffs.get((0,), 0j)
-    plus = {}
-    minus = {}
-    for (k,), c in g.coeffs.items():
-        if k >= 1:
-            plus[(k - 1,)] = c
-        elif k <= -1:
-            minus[(-k - 1,)] = c
-    return UnivariateSplit(
-        a0=complex(a0),
-        g_plus=LaurentPoly(1, plus),
-        g_minus=LaurentPoly(1, minus),
-    )
 
 
 @dataclass(frozen=True)
@@ -546,13 +476,16 @@ def recompose(parts: dict, n_vars: int) -> LaurentPoly:
 
 
 def sign_pattern_bound(params: AnnulusParams, n: int, t: int) -> float:
-    """Closed-form part estimate (r^2/(r^2-1))^t ((2r^2-1)/(r^2-1))^{n-t}."""
+    """Closed-form part estimate (r^2/(r^2-1))^t ((2r^2-1)/(r^2-1))^{n-t}.
+
+    Evaluated as (1/(1-s))^t ((2-s)/(1-s))^{n-t} with s = r^-2.
+    """
     if n < 1:
         raise InputError("n must be a positive integer")
     if not 0 <= t <= n:
         raise InputError(f"t must lie in 0..{n}, got {t}")
-    r2 = params.r ** 2
-    return (r2 / (r2 - 1.0)) ** t * ((2.0 * r2 - 1.0) / (r2 - 1.0)) ** (n - t)
+    s = params.r ** -2
+    return (1.0 / (1.0 - s)) ** t * ((2.0 - s) / (1.0 - s)) ** (n - t)
 
 
 @dataclass(frozen=True)
@@ -567,13 +500,18 @@ def bivariate_part_bounds(params: AnnulusParams) -> BivariateBounds:
     """The four bivariate part estimates over the all-r torus.
 
     b1 bounds the (+,+) part, b2 = b3 the mixed parts, b4 the (-,-)
-    part, each relative to ||g|| on the closed biannulus.
+    part, each relative to ||g|| on the closed biannulus.  With
+    s = r^-2 and root = sqrt(1 - s^2):
+
+        b1 = 1 + 2 s / root + (s / (1 - s))^2
+        b2 = 1 + (1 + s) / root + s / (1 - s)^2
+        b4 = 1 + 2 / root + (1 / (1 - s))^2
     """
-    r2 = params.r ** 2
-    root = math.sqrt(r2 * r2 - 1.0)
-    b1 = 1.0 + 2.0 / root + (1.0 / (r2 - 1.0)) ** 2
-    b2 = 1.0 + (1.0 + r2) / root + r2 / (r2 - 1.0) ** 2
-    b4 = 1.0 + 2.0 * r2 / root + (r2 / (r2 - 1.0)) ** 2
+    s = params.r ** -2
+    root = math.sqrt(1.0 - s * s)
+    b1 = 1.0 + 2.0 * s / root + (s / (1.0 - s)) ** 2
+    b2 = 1.0 + (1.0 + s) / root + s / (1.0 - s) ** 2
+    b4 = 1.0 + 2.0 / root + (1.0 / (1.0 - s)) ** 2
     return BivariateBounds(b1=b1, b2=b2, b3=b2, b4=b4)
 
 

@@ -4,9 +4,8 @@
 
 Everything in the package models operators as square numpy arrays of
 complex128.  This module holds the shared primitives: validation, the
-operator (largest-singular-value) norm, Hermitian square roots formed
-from a single eigendecomposition, Kronecker products with a desk-scale
-dimension cap, and the JSON matrix file format.
+operator (largest-singular-value) norm, Kronecker products with a
+desk-scale dimension cap, and the JSON matrix file format.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, InputError, ResourceError
+from .errors import InputError, ResourceError
 
 # Kronecker results above this dimension are refused.
 DIMENSION_CAP = 4096
@@ -75,24 +74,6 @@ def smallest_singular_value(M) -> float:
 def is_invertible(M, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the smallest singular value exceeds tol.abs."""
     return smallest_singular_value(M) > tol.abs
-
-
-def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Eigenvalues in [-tol.abs, 0) are clamped to zero so that boundary
-    matrices (a zero defect, say) stay inside the domain.  Eigenvalues
-    below -tol.abs are a domain error, not something to paper over.
-    """
-    A = as_matrix(M)
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.conj().T).max() > tol.abs * scale:
-        raise InputError("psd_sqrt requires a Hermitian matrix")
-    w, V = np.linalg.eigh(hermitian_part(A))
-    if w[0] < -tol.abs * scale:
-        raise DomainError(f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
-    w = np.maximum(w, 0.0)
-    return hermitian_part((V * np.sqrt(w)) @ V.conj().T)
 
 
 def kron(A, B) -> np.ndarray:

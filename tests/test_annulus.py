@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from qaspectral.annulus import (
     AnnulusParams,
-    associated_unitary,
     annulus_defect,
     dilate,
     membership,
@@ -18,12 +17,12 @@ from qaspectral.linalg import adjoint, matrix_power, op_norm
 R2 = AnnulusParams(2.0)
 
 
-def qa_unitary(dim, params, rng, attain_both=True):
-    """Random operator with singular values in {r, 1/r}."""
+def qa_unitary(dim, params, rng):
+    """Random operator with singular values in {r, 1/r}, both attained."""
     V = haar_unitary(dim, rng)
     W = haar_unitary(dim, rng)
     s = np.where(rng.integers(2, size=dim) == 1, params.r, 1.0 / params.r)
-    if attain_both and dim >= 2:
+    if dim >= 2:
         s[0], s[1] = params.r, 1.0 / params.r
     return (V * s) @ W.conj().T
 
@@ -37,6 +36,11 @@ class TestParams:
     def test_rejects_bad_radius(self, r):
         with pytest.raises(InputError):
             AnnulusParams(r)
+
+    def test_radius_range_ends_where_c_r_overflows(self):
+        assert np.isfinite(AnnulusParams(1.3e154).c_r)
+        with pytest.raises(InputError):
+            AnnulusParams(1.4e154)
 
 
 class TestAnnulusDefect:
@@ -147,38 +151,6 @@ class TestDilate:
     def test_rejects_non_member(self):
         with pytest.raises(PreconditionError):
             dilate([[3.0]], R2)
-
-
-class TestAssociatedUnitary:
-    def test_diagonal_boundary_gives_identity(self):
-        U = associated_unitary(np.diag([2.0, 0.5]), R2)
-        np.testing.assert_allclose(U, np.eye(2), atol=1e-14)
-
-    def test_scalar_half_identity(self):
-        U = associated_unitary(0.5 * np.eye(2), R2)
-        np.testing.assert_allclose(U, np.eye(2), atol=1e-14)
-
-    def test_complex_diagonal_is_unitary(self):
-        J = np.diag([2.0 * np.exp(1j * np.pi / 3), 0.5])
-        U = associated_unitary(J, R2)
-        assert op_norm(adjoint(U) @ U - np.eye(2)) <= 1e-10
-
-    def test_padding_appends_boundary_entries(self):
-        J = 0.5 * np.eye(2)
-        U = associated_unitary(J, R2, pad=True)
-        assert U.shape == (4, 4)
-        assert op_norm(adjoint(U) @ U - np.eye(4)) <= 1e-10
-
-    def test_rejects_interior_operator(self):
-        with pytest.raises(PreconditionError):
-            associated_unitary([[1.0]], R2)
-
-    def test_random_qa_unitaries(self):
-        for k in range(20):
-            rng = substream(21, k)
-            J = qa_unitary(int(rng.integers(1, 6)), R2, rng, attain_both=False)
-            U = associated_unitary(J, R2, pad=True)
-            assert op_norm(adjoint(U) @ U - np.eye(U.shape[0])) <= 1e-8
 
 
 class TestTensorCriterion:

@@ -54,6 +54,30 @@ class TestCatalog:
         assert biannulus_bound(r) == pytest.approx(b.b1 + b.b2 + b.b3 + b.b4, rel=1e-14, abs=0)
         assert BOUND_KINDS["biannulus"].upper(r, 2) == biannulus_bound(r)
 
+    def test_closed_forms_at_r2_are_the_rounded_fractions(self):
+        assert annulus_bound(2.0) == 2.0 * (1.0 + 8 / 15)
+        assert biannulus_bound(2.0) == 4.0 + 4.0 * math.sqrt(5 / 3) + (5 / 3) * (5 / 3)
+        assert polyannulus_dc_bound(2.0, 3) == (11 / 3) ** 3
+        b = bivariate_part_bounds(R2)
+        root = math.sqrt(15.0)
+        assert (b.b1, b.b2, b.b4) == (
+            1.0 + 2.0 / root + (1 / 3) ** 2,
+            1.0 + 5.0 / root + 4 / 9,
+            1.0 + 8.0 / root + (4 / 3) ** 2,
+        )
+        assert sign_pattern_bound(R2, 3, 1) == (4 / 3) * (7 / 3) ** 2
+
+    @pytest.mark.parametrize("r", [1e100, 1e150, 1.3e154])
+    def test_closed_forms_finite_at_huge_radius(self, r):
+        # the r -> infinity limits: 2, 9, 3^n; parts 1, 2, 4 and 2^(n-t)
+        params = AnnulusParams(r)
+        assert annulus_bound(r) == pytest.approx(2.0)
+        assert biannulus_bound(r) == pytest.approx(9.0)
+        assert polyannulus_dc_bound(r, 3) == pytest.approx(27.0)
+        b = bivariate_part_bounds(params)
+        assert (b.b1, b.b2, b.b4) == pytest.approx((1.0, 2.0, 4.0))
+        assert sign_pattern_bound(params, 3, 1) == pytest.approx(4.0)
+
     def test_monotone_nonincreasing_in_r(self):
         rs = np.logspace(math.log10(1.02), 2, 50)
         for f in (annulus_bound, biannulus_bound, lambda r: polyannulus_dc_bound(r, 2)):

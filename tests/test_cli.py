@@ -173,6 +173,24 @@ def test_decompose_malformed_file_is_input_error(tmp_path, capsys, text):
     assert _stderr_is_one_line(capsys)
 
 
+def test_decompose_grid_above_cap_exits_2(tmp_path, capsys):
+    # z_1 + z_14 would need a 256^13 x 2 grid sweep
+    terms = [{"exp": [int(i == j) for i in range(14)], "re": 1.0, "im": 0.0} for j in (0, 13)]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 14, "terms": terms}))
+    assert main(["decompose", "--poly", str(path)]) == 2
+    assert _stderr_is_one_line(capsys)
+
+
+@pytest.mark.parametrize("r", ["1e100", "1e200"])
+def test_verify_bounds_at_huge_radius(tmp_path, capsys, r):
+    argv = ["verify-bounds", "--r", r, "--samples", "1", "--dims", "1", "--degrees", "1"]
+    code = main(argv + ["--out", str(tmp_path / "vb")])
+    assert code in (0, 2)
+    if code == 2:
+        assert _stderr_is_one_line(capsys)
+
+
 @pytest.mark.parametrize(
     "text",
     ["[1]", json.dumps({"dims": 3}), "not json", json.dumps({"r": "x"})],

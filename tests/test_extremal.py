@@ -9,7 +9,6 @@ from qaspectral.extremal import (
     witness_supnorm,
     lower_bound_scan,
     verify_tensor_multiplicativity,
-    xi_profile,
 )
 from qaspectral.extremal import witness_function as make_gm
 from qaspectral.laurent import BoundarySpec, eval_point, sup_norm
@@ -40,12 +39,10 @@ class TestShiftModel:
         assert op_norm(S) == pytest.approx(2.0)
         assert op_norm(np.linalg.inv(S)) == pytest.approx(2.0)
 
-    def test_xi_profile(self):
-        np.testing.assert_allclose(xi_profile(2, R2), [1.0, 2.0, 4.0, 2.0])
-
     def test_weights_are_xi_ratios(self):
+        # one period of the bilateral profile: xi_q = r^q up, r^(p-q) down
         p = 5
-        xi = xi_profile(p, R2)
+        xi = np.array([2.0 ** q for q in range(p)] + [2.0 ** (p - q) for q in range(p)])
         xi_wrapped = np.append(xi, xi[0])
         np.testing.assert_allclose(cyclic_shift_model(p, R2).weights, xi_wrapped[1:] / xi)
 

@@ -2,59 +2,12 @@ import numpy as np
 import pytest
 
 from qaspectral.annulus import AnnulusParams
-from qaspectral.errors import DomainError, InputError, PreconditionError
+from qaspectral.errors import PreconditionError
 from qaspectral.harness import gen_qa_operator, substream
-from qaspectral.hyperbola import (
-    VarietyPoint,
-    biball_lift,
-    boundary_probe,
-    phi_map,
-    pullback_through_phi,
-)
-from qaspectral.laurent import LaurentPoly
+from qaspectral.hyperbola import biball_lift
 from qaspectral.linalg import op_norm
 
 R2 = AnnulusParams(2.0)
-
-
-class TestPhiMap:
-    def test_forward(self):
-        z, w = phi_map(2.0, R2)
-        assert z == pytest.approx(1.0)
-        assert w == pytest.approx(0.25)
-        assert z * w == pytest.approx(1 / 4)
-
-    def test_biball(self):
-        z, w = phi_map(2.0, R2, "biball")
-        assert z == pytest.approx(0.97014, abs=1e-5)
-        assert w == pytest.approx(0.24254, abs=1e-5)
-        assert z * w == pytest.approx(1 / 4.25)
-
-    def test_inverse_composition(self):
-        assert phi_map(phi_map(2.0, R2), R2, "inverse") == pytest.approx(2.0)
-
-    def test_round_trip_dense(self):
-        rng = substream(70, 0)
-        for _ in range(50):
-            z = np.exp(rng.uniform(-np.log(2), np.log(2))) * np.exp(
-                1j * rng.uniform(0, 2 * np.pi)
-            )
-            back = phi_map(phi_map(z, R2), R2, "inverse")
-            assert abs(back - z) <= 1e-14 * abs(z)
-
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            phi_map(0.0, R2)
-
-    def test_variety_point_residuals(self):
-        z, w = phi_map(1.5, R2)
-        pt = VarietyPoint.at(z, w, R2)
-        assert pt.residual_H <= 1e-15
-        assert pt.on_hyperbola()
-        zb, wb = phi_map(1.5, R2, "biball")
-        ptb = VarietyPoint.at(zb, wb, R2)
-        assert ptb.residual_q0 <= 1e-15
-        assert ptb.in_biball_variety()
 
 
 class TestBiballLift:
@@ -84,47 +37,9 @@ class TestBiballLift:
             T = gen_qa_operator(int(rng.integers(1, 5)), R2, rng)
             lift = biball_lift(T, R2)
             assert lift.unitary_defect <= 1e-10
+            # A_hat B_hat = I / c_r puts every joint eigenvalue pair on zw = 1/c_r
             assert lift.product_defect <= 1e-10
-            assert lift.eig_residuals.max() <= 1e-8
 
     def test_rejects_non_member(self):
         with pytest.raises(PreconditionError):
             biball_lift([[3.0]], R2)
-
-
-class TestBoundaryProbe:
-    def test_first_coordinate(self):
-        probe = boundary_probe(LaurentPoly(2, {(1, 0): 1.0}), R2)
-        assert probe.sup_value == pytest.approx(1.0, abs=1e-9)
-        assert probe.arg_radius == pytest.approx(2.0)
-        assert probe.boundary_attained
-
-    def test_second_coordinate(self):
-        probe = boundary_probe(LaurentPoly(2, {(0, 1): 1.0}), R2)
-        assert probe.sup_value == pytest.approx(1.0, abs=1e-9)
-        assert probe.arg_radius == pytest.approx(0.5)
-        assert probe.boundary_attained
-
-    def test_sum(self):
-        probe = boundary_probe(LaurentPoly(2, {(1, 0): 1.0, (0, 1): 1.0}), R2)
-        assert probe.sup_value == pytest.approx(1.25, abs=1e-9)
-        assert probe.boundary_attained
-
-    def test_pullback_exponents(self):
-        # z^a w^b pulls back to r^-(a+b) z^(a-b)
-        h = pullback_through_phi(LaurentPoly(2, {(2, 1): 8.0}), R2)
-        assert h.coeffs == {(1,): 1.0}
-
-    def test_maximum_principle_on_random_probes(self):
-        from qaspectral.harness import gen_laurent
-
-        for k in range(10):
-            rng = substream(73, k)
-            f = gen_laurent(2, 4, rng)
-            if pullback_through_phi(f, R2).is_zero:
-                continue
-            assert boundary_probe(f, R2).boundary_attained
-
-    def test_rejects_univariate(self):
-        with pytest.raises(InputError):
-            pullback_through_phi(LaurentPoly(1, {(1,): 1.0}), R2)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qaspectral.annulus import AnnulusParams
-from qaspectral.errors import DomainError, InputError
+from qaspectral import laurent
+from qaspectral.errors import DomainError, InputError, ResourceError
 from qaspectral.harness import gen_laurent, substream
 from qaspectral.laurent import (
     BoundarySpec,
@@ -19,9 +20,7 @@ from qaspectral.laurent import (
     sign_pattern_bound,
     bivariate_part_bounds,
     recompose,
-    reconstruction_residual,
     sample_grid,
-    split_univariate,
     sup_norm,
     verify_decomposition_estimates,
 )
@@ -131,8 +130,8 @@ class TestSupNorm:
         # move the located maximum
         for k in range(5):
             g = gen_laurent(2, 6, substream(8, k))
-            lo = sup_norm(g, BoundarySpec("polyannulus_distinguished", 2.0, 256), refine=False)
-            hi = sup_norm(g, BoundarySpec("polyannulus_distinguished", 2.0, 512), refine=False)
+            lo = sup_norm(g, BoundarySpec("polyannulus_distinguished", 2.0, 256))
+            hi = sup_norm(g, BoundarySpec("polyannulus_distinguished", 2.0, 512))
             assert hi.value >= lo.value - 1e-12 * max(1.0, lo.value)
 
     def test_certified_upper_bound_against_dense_oracle(self):
@@ -140,16 +139,52 @@ class TestSupNorm:
         for k in range(5):
             g = gen_laurent(1, 6, substream(9, k))
             res = sup_norm(g, BoundarySpec("polyannulus_distinguished", 2.0, 256))
-            dense = sup_norm(
-                g, BoundarySpec("polyannulus_distinguished", 2.0, 2560), refine=False
-            )
+            dense = sup_norm(g, BoundarySpec("polyannulus_distinguished", 2.0, 2560))
             assert res.value + res.certified_error >= dense.value
             assert res.value <= dense.value + dense.certified_error
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_value_is_attained_at_arg_point(self, n):
+        # the value is a grid maximum: |g| at arg_point, up to FFT roundoff
+        for k in range(4):
+            g = gen_laurent(n, 5, substream(11, 10 * n + k))
+            res = sup_norm(g, SPEC2)
+            radii = np.abs(np.asarray(res.arg_point))
+            assert any(np.allclose(radii, t, rtol=1e-12, atol=0) for t in SPEC2.tori(n))
+            assert res.value <= abs(eval_point(g, res.arg_point)) * (1 + 1e-12)
 
     def test_grid_floor_enforced(self):
         g = LaurentPoly(1, {(10,): 1.0})
         with pytest.raises(InputError):
             sup_norm(g, BoundarySpec("polyannulus_distinguished", 2.0, 128))
+
+    def test_overflowing_value_is_domain_error(self):
+        # r^8 = 1e800 is beyond float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError):
+                sup_norm(LaurentPoly(1, {(8,): 1.0}), BoundarySpec("polycircle_r", 1e100))
+
+    def test_grid_cap_refuses_many_variables(self):
+        # z_1 + z_14: the pruned sweep would hold 256^13 * 2 entries
+        exps = [tuple(int(i == j) for i in range(14)) for j in (0, 13)]
+        g = LaurentPoly(14, {e: 1.0 for e in exps})
+        with pytest.raises(ResourceError):
+            sup_norm(g, SPEC2)
+        with pytest.raises(ResourceError):
+            sample_grid(g, 8)
+
+    def test_grid_cap_boundary(self, monkeypatch):
+        # the pruned sweep of a 2-variable g holds N * w_last entries; a
+        # cap that small also shrinks its slice batches to w_last rows
+        g = gen_laurent(2, 3, substream(11, 99))
+        N = SPEC2.grid_size(g)
+        w_last = 1 + max(e[1] for e in g.coeffs) - min(e[1] for e in g.coeffs)
+        expected = sup_norm(g, SPEC2)
+        monkeypatch.setattr(laurent, "GRID_CAP", N * w_last)
+        assert sup_norm(g, SPEC2) == expected
+        monkeypatch.setattr(laurent, "GRID_CAP", N * w_last - 1)
+        with pytest.raises(ResourceError):
+            sup_norm(g, SPEC2)
 
 
 class TestCoefficients:
@@ -176,7 +211,7 @@ class TestCoefficients:
             assert set(rec.coeffs) == set(g.coeffs)
             for exp, c in g.coeffs.items():
                 assert abs(rec.coeffs[exp] - c) <= 1e-12
-            assert reconstruction_residual(samples, rec) <= 1e-10
+            assert np.abs(samples - sample_grid(rec, 16)).max() <= 1e-10
 
     def test_window_wider_than_samples_is_aliasing(self):
         samples = np.ones((8,), dtype=complex)
@@ -195,45 +230,6 @@ class TestCauchyCheck:
 
     def test_zero_polynomial_vacuous(self):
         assert cauchy_check(LaurentPoly(1, {}), R2, 0.0)
-
-
-class TestSplitUnivariate:
-    def test_bookkeeping(self):
-        g = LaurentPoly(1, {(0,): 3.0, (1,): 2.0, (-2,): 5.0})
-        s = split_univariate(g)
-        assert s.a0 == 3.0
-        assert s.g_plus.coeffs == {(0,): 2.0}
-        assert s.g_minus.coeffs == {(1,): 5.0}
-
-    def test_pure_z(self):
-        s = split_univariate(LaurentPoly(1, {(1,): 1.0}))
-        assert s.a0 == 0.0
-        assert s.g_plus.coeffs == {(0,): 1.0}
-        assert s.g_minus.is_zero
-
-    def test_gm_split(self):
-        g = LaurentPoly(1, {(2,): 0.25, (-2,): 0.25})
-        s = split_univariate(g)
-        assert s.a0 == 0.0
-        assert s.g_plus.coeffs == {(1,): 0.25}
-        assert s.g_minus.coeffs == {(1,): 0.25}
-
-    def test_reconstruction_identity_exact(self):
-        for k in range(10):
-            g = gen_laurent(1, 8, substream(12, k))
-            s = split_univariate(g)
-            rebuilt = dict()
-            if s.a0:
-                rebuilt[(0,)] = s.a0
-            for (e,), c in s.g_plus.coeffs.items():
-                rebuilt[(e + 1,)] = rebuilt.get((e + 1,), 0) + c
-            for (e,), c in s.g_minus.coeffs.items():
-                rebuilt[(-e - 1,)] = rebuilt.get((-e - 1,), 0) + c
-            assert LaurentPoly(1, rebuilt) == g
-
-    def test_rejects_multivariate(self):
-        with pytest.raises(InputError):
-            split_univariate(LaurentPoly(2, {(1, 0): 1.0}))
 
 
 class TestDecompose2n:

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from qaspectral.errors import DomainError, InputError, ResourceError
+from qaspectral.errors import InputError, ResourceError
 from qaspectral.linalg import (
-    Tolerance,
     as_matrix,
     kron,
     load_matrix,
     matrix_power,
     op_norm,
-    psd_sqrt,
     save_matrix,
 )
 
@@ -59,54 +57,6 @@ class TestOpNorm:
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
             as_matrix(np.ones((2, 3)))
-
-
-class TestPsdSqrt:
-    def test_diagonal(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(np.eye(3)), np.eye(3))
-
-    def test_two_by_two_closed_form(self):
-        # eigenvalues {1, 3}; closed-form root built from the eigenbasis
-        root3 = np.sqrt(3.0)
-        expected = np.array(
-            [[(root3 + 1) / 2, (root3 - 1) / 2], [(root3 - 1) / 2, (root3 + 1) / 2]]
-        )
-        R = psd_sqrt([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(R, expected, atol=1e-12)
-        assert R[0, 0] == pytest.approx(1.36603, abs=1e-5)
-
-    def test_square_is_inverse(self):
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        M = A.conj().T @ A
-        R = psd_sqrt(M)
-        assert op_norm(R @ R - M) <= 1e-8 * op_norm(M)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(DomainError):
-            psd_sqrt(np.diag([1.0, -1.0]))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InputError):
-            psd_sqrt([[0.0, 1.0], [0.0, 0.0]])
-
-    def test_clamps_tiny_negative_eigenvalues(self):
-        R = psd_sqrt(np.diag([1.0, -1e-12]), Tolerance(abs=1e-10))
-        np.testing.assert_allclose(R, np.diag([1.0, 0.0]), atol=1e-6)
-
-    def test_shared_eigenbasis_roots_commute(self):
-        # P and Q diagonal in one basis: their roots commute exactly
-        rng = np.random.default_rng(2)
-        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        Q_basis, _ = np.linalg.qr(A)
-        P = (Q_basis * [1.0, 2.0, 3.0, 4.0]) @ Q_basis.conj().T
-        Q = (Q_basis * [4.0, 3.0, 2.0, 1.0]) @ Q_basis.conj().T
-        RP = psd_sqrt(P, Tolerance(abs=1e-8))
-        RQ = psd_sqrt(Q, Tolerance(abs=1e-8))
-        assert op_norm(RP @ RQ - RQ @ RP) < 1e-10
 
 
 class TestKron:

@@ -12,6 +12,7 @@ from qaspectral.annulus import (
 )
 from qaspectral.errors import DomainError, InputError, PreconditionError
 from qaspectral.harness import gen_qa_operator, haar_unitary, substream
+from qaspectral.hyperbola import biball_lift
 from qaspectral.linalg import adjoint, matrix_power, op_norm
 
 R2 = AnnulusParams(2.0)
@@ -151,6 +152,41 @@ class TestDilate:
     def test_rejects_non_member(self):
         with pytest.raises(PreconditionError):
             dilate([[3.0]], R2)
+
+
+class TestAssociatedUnitary:
+    """U = r (1 + r^2)^-1 (J + J^-*) on the dilation, as biball_lift builds it."""
+
+    def test_diagonal_boundary_gives_identity(self):
+        U = biball_lift(np.diag([2.0, 0.5]), R2).U
+        np.testing.assert_allclose(U, np.eye(4), atol=1e-14)
+
+    def test_scalar_half_identity(self):
+        U = biball_lift(0.5 * np.eye(2), R2).U
+        np.testing.assert_allclose(U, np.eye(4), atol=1e-14)
+
+    def test_complex_diagonal_is_unitary(self):
+        J = np.diag([2.0 * np.exp(1j * np.pi / 3), 0.5])
+        U = biball_lift(J, R2).U
+        assert op_norm(adjoint(U) @ U - np.eye(4)) <= 1e-10
+        # a boundary eigenvalue r e^{it} goes to the unimodular e^{it}
+        assert U[0, 0] == pytest.approx(np.exp(1j * np.pi / 3), abs=1e-12)
+
+    def test_padding_appends_boundary_entries(self):
+        # the dilation of 0.5 I appends the boundary value r on the new block
+        lift = biball_lift(0.5 * np.eye(2), R2)
+        assert lift.U.shape == (4, 4)
+        np.testing.assert_allclose(
+            lift.A_hat, R2.a_r * np.diag([0.5, 0.5, 2.0, 2.0]), atol=1e-14
+        )
+        assert op_norm(adjoint(lift.U) @ lift.U - np.eye(4)) <= 1e-10
+
+    def test_random_qa_unitaries(self):
+        for k in range(20):
+            rng = substream(21, k)
+            J = qa_unitary(int(rng.integers(1, 6)), R2, rng)
+            U = biball_lift(J, R2).U
+            assert op_norm(adjoint(U) @ U - np.eye(U.shape[0])) <= 1e-8
 
 
 class TestTensorCriterion:

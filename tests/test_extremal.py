@@ -39,6 +39,11 @@ class TestShiftModel:
         assert op_norm(S) == pytest.approx(2.0)
         assert op_norm(np.linalg.inv(S)) == pytest.approx(2.0)
 
+    def test_xi_profile(self):
+        # the running products of the weights walk the profile [1, r, r^2, r]
+        weights = cyclic_shift_model(2, R2).weights
+        np.testing.assert_allclose(np.cumprod(np.append(1.0, weights[:-1])), [1.0, 2.0, 4.0, 2.0])
+
     def test_weights_are_xi_ratios(self):
         # one period of the bilateral profile: xi_q = r^q up, r^(p-q) down
         p = 5

@@ -232,6 +232,41 @@ class TestCauchyCheck:
         assert cauchy_check(LaurentPoly(1, {}), R2, 0.0)
 
 
+class TestSplitUnivariate:
+    """decompose_2n at n = 1: g(z) = g_+(z) + g_-(1/z), split by exponent sign."""
+
+    @staticmethod
+    def split(g):
+        (plus, pos), (minus, neg) = decompose_2n(g).items()
+        assert plus.label() == "+" and minus.label() == "-"
+        return pos, neg
+
+    def test_bookkeeping(self):
+        g = LaurentPoly(1, {(0,): 3.0, (1,): 2.0, (-2,): 5.0})
+        pos, neg = self.split(g)
+        assert pos.coeffs == {(0,): 3.0, (1,): 2.0}
+        assert neg.coeffs == {(2,): 5.0}
+
+    def test_pure_z(self):
+        pos, neg = self.split(LaurentPoly(1, {(1,): 1.0}))
+        assert pos.coeffs == {(1,): 1.0}
+        assert neg.is_zero
+
+    def test_gm_split(self):
+        pos, neg = self.split(LaurentPoly(1, {(2,): 0.25, (-2,): 0.25}))
+        assert pos.coeffs == {(2,): 0.25}
+        assert neg.coeffs == {(2,): 0.25}
+
+    def test_reconstruction_identity_exact(self):
+        for k in range(10):
+            g = gen_laurent(1, 8, substream(12, k))
+            pos, neg = self.split(g)
+            rebuilt = dict(pos.coeffs)
+            for (e,), c in neg.coeffs.items():
+                rebuilt[(-e,)] = rebuilt.get((-e,), 0) + c
+            assert LaurentPoly(1, rebuilt) == g
+
+
 class TestDecompose2n:
     def test_sign_routing(self):
         g = LaurentPoly(2, {(1, 1): 1.0, (1, -1): 1.0, (-1, -1): 1.0})

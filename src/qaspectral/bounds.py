@@ -12,7 +12,7 @@ Each row names the tuples a bound covers and its closed form:
 
 The closed forms are evaluated in s = r^-2 (2 (1 + 2 s / (1 - s^2)),
 q = (1 + s) / (1 - s), ((3 - s) / (1 - s))^n), so no finite r
-overflows them.
+overflows them; a power n too large for a float raises DomainError.
 
 A spectral ratio is the operator norm of g applied to a tuple divided
 by the certified sup norm of g on the distinguished boundary; observed
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .annulus import AnnulusParams, membership
-from .errors import InputError, PreconditionError
+from .errors import DomainError, InputError, PreconditionError
 from .laurent import BoundarySpec, LaurentPoly, eval_operators, sup_norm
 from .linalg import DEFAULT_TOL, Tolerance, op_norm
 from .operators import OperatorTuple
@@ -46,7 +46,12 @@ def biannulus_bound(r: float) -> float:
 
 def polyannulus_dc_bound(r: float, n: int) -> float:
     s = r ** -2
-    return ((3.0 - s) / (1.0 - s)) ** n
+    try:
+        return ((3.0 - s) / (1.0 - s)) ** n
+    except OverflowError:
+        raise DomainError(
+            f"the polyannulus_dc bound for r = {r}, n = {n} overflows a float"
+        ) from None
 
 
 @dataclass(frozen=True)

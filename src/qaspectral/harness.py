@@ -138,6 +138,19 @@ def gen_tuple(
     raise InputError(f"unknown tuple mode {mode!r}")
 
 
+def admissible_count(n_vars: int, max_degree: int) -> int:
+    """Number of exponent vectors in Z^n_vars with sum |e_i| <= max_degree.
+
+    A vector with k nonzero entries picks their k axes, their k signs
+    and their k moduli (a composition of at most max_degree into k
+    positive parts), so the count is sum_k 2^k C(n, k) C(d, k).
+    """
+    return sum(
+        2 ** k * math.comb(n_vars, k) * math.comb(max_degree, k)
+        for k in range(min(n_vars, max_degree) + 1)
+    )
+
+
 def gen_laurent(
     n_vars: int,
     max_degree: int,
@@ -145,11 +158,18 @@ def gen_laurent(
     n_terms: int | None = None,
 ) -> LaurentPoly:
     """Random Laurent polynomial with total absolute degree at most
-    max_degree and standard complex Gaussian coefficients."""
+    max_degree and standard complex Gaussian coefficients.
+
+    Exponents are drawn uniformly from the box [-max_degree, max_degree]^n
+    and rejected outside the degree budget.  n_terms is capped at the
+    number of admissible exponents, so a request for more terms than
+    exist returns every one of them instead of running out the guard.
+    """
     if max_degree < 0:
         raise InputError("max_degree must be nonnegative")
     if n_terms is None:
         n_terms = int(rng.integers(3, 9))
+    n_terms = min(n_terms, admissible_count(n_vars, max_degree))
     coeffs = {}
     guard = 0
     while len(coeffs) < n_terms and guard < 100 * n_terms:
@@ -280,12 +300,12 @@ class Report:
 def evaluate_sample(config: ExperimentConfig, sample_id: int) -> SampleRow:
     """One fully deterministic sample: tuple + polynomial + ratio."""
     params = AnnulusParams(config.r)
+    bound = BOUND_KINDS[config.bound_kind].upper(params.r, config.n_vars)
     rng = substream(config.seed, sample_id)
     dim = int(config.dims[int(rng.integers(len(config.dims)))])
     degree = int(config.degrees[int(rng.integers(len(config.degrees)))])
     T = gen_tuple(config.mode, config.n_vars, dim, params, rng)
     g = gen_laurent(config.n_vars, degree, rng)
-    bound = BOUND_KINDS[config.bound_kind].upper(params.r, config.n_vars)
     rep: RatioReport = spectral_ratio(T, g, params, bound=bound)
     margin = bound * (1.0 + rep.certified_error / rep.g_supnorm) - rep.ratio
     return SampleRow(

@@ -16,6 +16,13 @@ true supremum via the coefficient-based angular-derivative bound
     D = sum_nu |a_nu| (sum_i |nu_i|) prod_i rho_i^{nu_i},
 
 so |sup - value| <= D * pi / N.
+
+The grid maximum is found without evaluating the whole grid.  Each
+torus has the l1 bound sum_nu |a_nu| prod_i rho_i^{nu_i} >= |g|; tori
+are visited in decreasing l1 order, and a torus whose bound cannot beat
+the running maximum is skipped with no FFT.  Within a torus, 1-D slices
+are bounded the same way and only those above the running maximum,
+shared across tori, are evaluated.  Skipped tori still enter D.
 """
 
 from __future__ import annotations
@@ -275,43 +282,49 @@ def _torus_values(g: LaurentPoly, radii, N: int) -> np.ndarray:
     return vals
 
 
-def _grid_argmax(g: LaurentPoly, radii, N: int):
-    """Exact max of |g| over the N^n torus grid, with its index.
+def _grid_argmax(g: LaurentPoly, radii, N: int, best: float):
+    """Max of |g| over the N^n torus grid if it beats `best`, with its index.
 
     All axes but the last are transformed; each remaining 1-D slice is
     a trigonometric polynomial in the last angle whose modulus is
-    bounded by the l1 norm of its coefficients, so slices that cannot
-    beat the running maximum are skipped without being evaluated.
+    bounded by the l1 norm of its coefficients.  Only slices whose
+    bound exceeds the running maximum `best` (the best value found on
+    earlier tori, or -1) are evaluated, in decreasing bound order, and
+    the sweep stops at the first batch that cannot beat the running
+    maximum.  Returns (best, None) when no grid point beats `best`.
     The caller has run _check_grid with max(n - 1, 1) full axes.
     """
     box = _coeff_box(g, radii)
     n = box.ndim
     if n == 1:
         vals = np.fft.ifft(box, n=N) * N
-        sq = vals.real ** 2 + vals.imag ** 2
+        with np.errstate(over="ignore"):
+            sq = vals.real ** 2 + vals.imag ** 2
         j = int(np.argmax(sq))
-        return math.sqrt(float(sq[j])), (j,)
+        val = math.sqrt(float(sq[j]))
+        return (val, (j,)) if val > best else (best, None)
     part = box
     for axis in range(n - 1):
         part = np.fft.ifft(part, n=N, axis=axis) * N
-    slice_bound = np.abs(part).sum(axis=-1)
-    order = np.argsort(slice_bound, axis=None)[::-1]
+    slice_bound = np.abs(part).sum(axis=-1).ravel()
+    # the slices that can beat `best` are a prefix of the descending order
+    order = np.argsort(slice_bound)[::-1][: np.count_nonzero(slice_bound > best)]
     flat = part.reshape(-1, part.shape[-1])
-    best = -1.0
     best_idx = None
     # each batch of slices is evaluated as one chunk x N array
     chunk = min(1024, GRID_CAP // N)
     for start in range(0, order.size, chunk):
         batch = order[start : start + chunk]
-        if slice_bound.flat[batch[0]] <= best:
+        if slice_bound[batch[0]] <= best:
             break
         rows = np.fft.ifft(flat[batch], n=N, axis=1) * N
-        sq = rows.real ** 2 + rows.imag ** 2
+        with np.errstate(over="ignore"):
+            sq = rows.real ** 2 + rows.imag ** 2
         r, j = np.unravel_index(int(np.argmax(sq)), sq.shape)
         val = math.sqrt(float(sq[r, j]))
         if val > best:
             best = val
-            best_idx = tuple(np.unravel_index(int(batch[r]), slice_bound.shape)) + (int(j),)
+            best_idx = tuple(np.unravel_index(int(batch[r]), part.shape[:-1])) + (int(j),)
     return best, best_idx
 
 
@@ -322,6 +335,15 @@ def sup_norm(g: LaurentPoly, spec: BoundarySpec) -> SupNormResult:
     tori, and arg_point the grid point where it is found; the value
     equals |g(arg_point)| up to FFT roundoff.  The certified error is
     max over tori of D * pi / N with D the angular-derivative bound.
+
+    Each torus has the weights w = |a_nu| prod_i rho_i^{nu_i}; their sum
+    bounds |g| on that torus.  Tori are visited in decreasing order of
+    that l1 bound (stably, so equal bounds keep spec.tori order), the
+    running maximum is shared with _grid_argmax so later tori prune
+    their slices against it, and a torus whose l1 bound cannot beat the
+    running maximum is skipped without any FFT.  Every torus still
+    enters the certificate.
+
     Grids whose FFT array would exceed GRID_CAP entries raise
     ResourceError; a value or certificate that overflows raises
     DomainError.
@@ -334,18 +356,20 @@ def sup_norm(g: LaurentPoly, spec: BoundarySpec) -> SupNormResult:
     abs_c = np.abs(np.array([g.coeffs[tuple(e)] for e in exps], dtype=complex))
     total_deg = np.abs(exps).sum(axis=1)
 
+    tori = [np.asarray(radii, dtype=float) for radii in spec.tori(g.n_vars)]
+    scales = [np.prod(rho ** exps, axis=1) for rho in tori]
+    worst_D = max(0.0, *(float(np.sum(abs_c * total_deg * scale)) for scale in scales))
+    l1 = [float(np.sum(abs_c * scale)) for scale in scales]
+
     best_val = -1.0
     best_point = None
-    worst_D = 0.0
-    for radii in spec.tori(g.n_vars):
-        rho = np.asarray(radii, dtype=float)
-        D = float(np.sum(abs_c * total_deg * np.prod(rho ** exps, axis=1)))
-        worst_D = max(worst_D, D)
-        val, idx = _grid_argmax(g, radii, N)
-        if val > best_val:
-            best_val = val
+    for k in sorted(range(len(tori)), key=lambda k: -l1[k]):
+        if l1[k] <= best_val:
+            continue
+        best_val, idx = _grid_argmax(g, tori[k], N, best_val)
+        if idx is not None:
             theta = 2.0 * math.pi * np.asarray(idx, dtype=float) / N
-            best_point = tuple(rho * np.exp(1j * theta))
+            best_point = tuple(tori[k] * np.exp(1j * theta))
     certified_error = worst_D * math.pi / N
     if not math.isfinite(best_val + certified_error):
         raise DomainError("the sup norm overflows a float on these tori")

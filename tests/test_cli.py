@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,29 @@ def test_verify_bounds_at_huge_radius(tmp_path, capsys, r):
     assert code in (0, 2)
     if code == 2:
         assert _stderr_is_one_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-extremal", "--r", "2", "--p", "2", "--m", "1", "--n", "1000"],
+        ["verify-bounds", "--kind", "polyannulus_dc", "--n", "700", "--dims", "1",
+         "--degrees", "1", "--samples", "1"],
+    ],
+    ids=["scan-extremal", "verify-bounds"],
+)
+def test_overflowing_polyannulus_dc_bound_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert _stderr_is_one_line(capsys)
+
+
+def test_overflowing_sup_norm_prints_one_line(tmp_path, capsys):
+    # a numpy RuntimeWarning would be a second stderr line outside pytest
+    argv = ["verify-bounds", "--r", "1.3e154", "--samples", "1", "--dims", "1", "--degrees", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "vb")]) == 2
+    assert _stderr_is_one_line(capsys)
 
 
 @pytest.mark.parametrize(

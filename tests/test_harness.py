@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qaspectral.annulus import AnnulusParams, membership
 from qaspectral.errors import InputError
 from qaspectral.harness import (
     ExperimentConfig,
+    admissible_count,
     evaluate_sample,
     gen_laurent,
     gen_non_member,
@@ -73,6 +76,19 @@ class TestGenerators:
             g = gen_laurent(2, 5, substream(11, k))
             assert g.max_abs_degree <= 5
             assert not g.is_zero
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_admissible_count_matches_enumeration(self, n):
+        for d in range(7):
+            box = itertools.product(range(-d, d + 1), repeat=n)
+            assert admissible_count(n, d) == sum(sum(map(abs, e)) <= d for e in box)
+
+    @pytest.mark.parametrize("n, d", [(1, 0), (1, 1), (1, 2), (2, 1), (3, 0), (3, 1)])
+    def test_capped_request_returns_every_exponent(self, n, d):
+        every = {e for e in itertools.product(range(-d, d + 1), repeat=n) if sum(map(abs, e)) <= d}
+        for k in range(5):
+            g = gen_laurent(n, d, substream(12, 10 * k + n), n_terms=8)
+            assert set(g.coeffs) == every
 
 
 class TestConfig:

@@ -187,6 +187,107 @@ class TestSupNorm:
             sup_norm(g, SPEC2)
 
 
+def _full_grid_max(g, radii, N):
+    """Max of |g| over every point of the N^n torus grid, without pruning.
+
+    The last axis is transformed in row chunks so the n = 3 grid never
+    sits in memory at once.
+    """
+    part = laurent._coeff_box(g, radii)
+    for axis in range(g.n_vars - 1):
+        part = np.fft.ifft(part, n=N, axis=axis) * N
+    rows = part.reshape(-1, part.shape[-1])
+    return max(
+        np.abs(np.fft.ifft(rows[i : i + 4096], n=N, axis=1) * N).max()
+        for i in range(0, len(rows), 4096)
+    )
+
+
+def _certificate(g, spec):
+    """max over spec.tori of D * pi / N, term by term."""
+    N = spec.grid_size(g)
+    return max(
+        sum(
+            abs(c) * sum(abs(e) for e in exp) * math.prod(rho ** e for rho, e in zip(radii, exp))
+            for exp, c in g.coeffs.items()
+        )
+        for radii in spec.tori(g.n_vars)
+    ) * math.pi / N
+
+
+class TestTorusPruning:
+    """Tori visited in l1 order against a shared running maximum.
+
+    At r = 1.3 the tori's l1 bounds lie close together, so the torus
+    visited first often does not hold the maximum.
+    """
+
+    @pytest.mark.parametrize("kind", ["polyannulus_distinguished", "polycircle_r"])
+    @pytest.mark.parametrize("n, degree, count", [(1, 3, 16), (2, 3, 12), (3, 4, 1)])
+    def test_value_is_full_grid_maximum(self, kind, n, degree, count):
+        spec = BoundarySpec(kind, 1.3)
+        for k in range(count):
+            g = gen_laurent(n, degree, substream(70 + n, k))
+            N = spec.grid_size(g)
+            full = max(_full_grid_max(g, radii, N) for radii in spec.tori(n))
+            assert sup_norm(g, spec).value == pytest.approx(full, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shared_maximum_matches_separate_tori(self, n):
+        spec = BoundarySpec("polyannulus_distinguished", 1.3)
+        for k in range(16):
+            g = gen_laurent(n, 2, substream(90 + n, k))
+            N = spec.grid_size(g)
+            separate = max(laurent._grid_argmax(g, radii, N, -1.0)[0] for radii in spec.tori(n))
+            assert sup_norm(g, spec).value == separate
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_certificate_covers_every_torus(self, n):
+        for k in range(3):
+            g = gen_laurent(n, 4, substream(80 + n, k))
+            assert sup_norm(g, SPEC2).certified_error == pytest.approx(
+                _certificate(g, SPEC2), rel=1e-12
+            )
+
+    def test_skipped_torus_still_sets_the_certificate(self, monkeypatch):
+        # on |z| = 1/2 the l1 bound is 20 + 1e-5; on |z| = 2 it is only
+        # 15.24, so that torus is skipped although its D (107.4) is largest
+        g = LaurentPoly(1, {(-1,): 10.0, (10,): 0.01})
+        visited = []
+        grid_argmax = laurent._grid_argmax
+
+        def spy(g, radii, N, best):
+            visited.append(tuple(radii))
+            return grid_argmax(g, radii, N, best)
+
+        monkeypatch.setattr(laurent, "_grid_argmax", spy)
+        res = sup_norm(g, SPEC2)
+        assert visited == [(0.5,)]
+        assert res.value == pytest.approx(20.0, rel=1e-5)
+        assert res.certified_error == pytest.approx(_certificate(g, SPEC2), rel=1e-12)
+        assert res.certified_error == pytest.approx(107.4 * math.pi / 320, rel=1e-3)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tied_tori_keep_spec_order(self, n):
+        # z_1 + 1/z_1 has the same l1 bound and maximum on every torus
+        g = LaurentPoly(n, {(1,) + (0,) * (n - 1): 1.0, (-1,) + (0,) * (n - 1): 1.0})
+        res = sup_norm(g, SPEC2)
+        np.testing.assert_allclose(np.abs(res.arg_point), SPEC2.tori(n)[0], rtol=1e-12)
+
+    def test_maximum_on_last_torus(self):
+        g = LaurentPoly(2, {(-3, -2): 1.0})
+        res = sup_norm(g, SPEC2)
+        assert res.value == pytest.approx(32.0, rel=1e-12)
+        np.testing.assert_allclose(np.abs(res.arg_point), SPEC2.tori(2)[-1], rtol=1e-12)
+
+    def test_nothing_beats_the_running_maximum(self):
+        g = LaurentPoly(2, {(1, 0): 1.0, (0, -1): 1.0})
+        N = SPEC2.grid_size(g)
+        best, idx = laurent._grid_argmax(g, (2.0, 0.5), N, -1.0)
+        assert best == pytest.approx(4.0, rel=1e-12) and idx is not None
+        assert laurent._grid_argmax(g, (0.5, 2.0), N, best) == (best, None)
+
+
 class TestCoefficients:
     def test_two_term_recovery(self):
         g = LaurentPoly(1, {(1,): 1.0, (-1,): 1.0})

@@ -84,7 +84,6 @@ def spectral_ratio(
     T: OperatorTuple,
     g: LaurentPoly,
     params: AnnulusParams,
-    spec: BoundarySpec | None = None,
     bound: float = math.inf,
     tol: Tolerance = DEFAULT_TOL,
 ) -> RatioReport:
@@ -99,13 +98,9 @@ def spectral_ratio(
     for i, M in enumerate(T):
         if not membership(M, params, tol).in_qa:
             raise PreconditionError(f"tuple member {i} is not in the quantum annulus")
-    if spec is None:
-        spec = BoundarySpec("polyannulus_distinguished", params.r)
-    elif spec.kind != "polyannulus_distinguished":
-        raise InputError("spectral ratios are measured against the distinguished boundary")
 
     g_op = op_norm(eval_operators(g, T, tol))
-    sup = sup_norm(g, spec)
+    sup = sup_norm(g, BoundarySpec("polyannulus_distinguished", params.r))
     if sup.value <= 0.0:
         raise InputError("cannot form a ratio against the zero polynomial")
     ratio = g_op / sup.value

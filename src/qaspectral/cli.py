@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from .bounds import BOUND_KINDS
 from .errors import QASpectralError
 from .extremal import lower_bound_scan
 from .harness import ExperimentConfig, run_experiment, write_report
-from .laurent import LaurentPoly, verify_decomposition_estimates
+from .laurent import LaurentPoly, decompose_2n, verify_decomposition_estimates
 from .linalg import load_json, load_matrix, save_matrix
 
 EXIT_PASS = 0
@@ -75,8 +76,6 @@ def cmd_decompose(args) -> int:
     params = AnnulusParams(args.r)
     which = "bivariate" if g.n_vars == 2 and args.use_biannulus_bounds else "general"
     report = verify_decomposition_estimates(g, params, which=which)
-    from .laurent import decompose_2n
-
     parts = decompose_2n(g)
     out = {
         "r": args.r,
@@ -217,10 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so one parser serves every
+# main call in a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_PASS
     try:

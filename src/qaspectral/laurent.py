@@ -17,12 +17,15 @@ true supremum via the coefficient-based angular-derivative bound
 
 so |sup - value| <= D * pi / N.
 
-The grid maximum is found without evaluating the whole grid.  Each
-torus has the l1 bound sum_nu |a_nu| prod_i rho_i^{nu_i} >= |g|; tori
-are visited in decreasing l1 order, and a torus whose bound cannot beat
-the running maximum is skipped with no FFT.  Within a torus, 1-D slices
-are bounded the same way and only those above the running maximum,
-shared across tori, are evaluated.  Skipped tori still enter D.
+Each call builds one exponent table (exponents and coefficients as
+arrays).  The grid maximum is found by one slice sweep for every n:
+all axes but the last are transformed, and each 1-D slice along the
+last axis is bounded by the l1 norm of its coefficients.  Tori are
+visited in decreasing order of their l1 bound, a torus whose bound
+cannot beat the running maximum is skipped with no FFT, and within a
+torus only slices above the running maximum, shared across tori, are
+evaluated.  Skipped tori still enter D.  sample_grid is the inverse
+DFT that coefficients_from_samples undoes.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ SAMPLES_PER_DEGREE = 32
 # Grid evaluations building a complex array above this many entries are
 # refused.
 GRID_CAP = 2 ** 24
+# Recovered coefficients of at most this modulus are quadrature roundoff.
+DROP_TOL = 1e-13
 
 
 class LaurentPoly:
@@ -236,75 +241,60 @@ class SupNormResult:
         return self.certified_error / self.value if self.value > 0 else 0.0
 
 
-def _coeff_box(g: LaurentPoly, radii) -> np.ndarray:
-    """Radius-scaled coefficients on their exponent bounding box.
+def _exponent_table(g: LaurentPoly):
+    """Exponents (terms x n_vars integers) and coefficients of g, row by row."""
+    exps = np.array(list(g.coeffs.keys()), dtype=int).reshape(-1, g.n_vars)
+    cs = np.array(list(g.coeffs.values()), dtype=complex)
+    return exps, cs
+
+
+def _coeff_box(exps: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """Coefficients `scaled` placed on the exponent bounding box.
 
     Exponents are shifted to start at zero per axis; the dropped phase
     factor has modulus one, so grid evaluations of the box differ from
     g only by a unimodular factor per point.
     """
-    n = g.n_vars
-    exps = np.array(list(g.coeffs.keys()), dtype=int).reshape(-1, n)
-    cs = np.array([g.coeffs[tuple(e)] for e in exps], dtype=complex)
-    scale = np.prod(np.asarray(radii, dtype=float) ** exps, axis=1)
-    box = np.zeros(tuple(exps.max(axis=0) - exps.min(axis=0) + 1), dtype=complex)
-    for e, c in zip(exps - exps.min(axis=0), cs * scale):
-        box[tuple(e)] += c
+    lo = exps.min(axis=0)
+    box = np.zeros(tuple(exps.max(axis=0) - lo + 1), dtype=complex)
+    box[tuple((exps - lo).T)] += scaled
     return box
 
 
-def _check_grid(g: LaurentPoly, N: int, full_axes: int) -> None:
+def _check_grid(exps: np.ndarray, N: int, full_axes: int) -> None:
     """Refuse a grid that aliases or whose FFT array exceeds GRID_CAP.
 
     Transforming the first `full_axes` axes of the exponent box onto
     N points each builds N^full_axes times the remaining box widths
     entries; the check runs before anything of that size is allocated.
     """
-    exps = np.array(list(g.coeffs.keys()), dtype=int).reshape(-1, g.n_vars)
-    widths = [int(w) for w in exps.max(axis=0) - exps.min(axis=0) + 1]
+    n_vars = exps.shape[1]
+    widths = (exps.max(axis=0) - exps.min(axis=0) + 1).tolist() if exps.size else [1] * n_vars
     if any(w > N for w in widths):
         raise InputError("grid too coarse for the exponent spread")
     size = N ** full_axes * math.prod(widths[full_axes:])
     if size > GRID_CAP:
         raise ResourceError(
-            f"a {N}-point grid in {g.n_vars} variables needs {size} entries, "
+            f"a {N}-point grid in {n_vars} variables needs {size} entries, "
             f"above the cap {GRID_CAP}"
         )
 
 
-def _torus_values(g: LaurentPoly, radii, N: int) -> np.ndarray:
-    """|g| evaluated on the full N^n grid of the torus (up to phases)."""
-    _check_grid(g, N, g.n_vars)
-    vals = _coeff_box(g, radii)
-    for axis in range(g.n_vars):
-        # ifft * N evaluates sum_k c_k e^{+i k theta} on the uniform grid
-        vals = np.fft.ifft(vals, n=N, axis=axis) * N
-    return vals
-
-
-def _grid_argmax(g: LaurentPoly, radii, N: int, best: float):
+def _grid_argmax(box: np.ndarray, N: int, best: float):
     """Max of |g| over the N^n torus grid if it beats `best`, with its index.
 
-    All axes but the last are transformed; each remaining 1-D slice is
-    a trigonometric polynomial in the last angle whose modulus is
-    bounded by the l1 norm of its coefficients.  Only slices whose
-    bound exceeds the running maximum `best` (the best value found on
-    earlier tori, or -1) are evaluated, in decreasing bound order, and
-    the sweep stops at the first batch that cannot beat the running
-    maximum.  Returns (best, None) when no grid point beats `best`.
-    The caller has run _check_grid with max(n - 1, 1) full axes.
+    `box` is g's coefficient box on one torus.  All axes but the last
+    are transformed (none when n = 1); each remaining 1-D slice is a
+    trigonometric polynomial in the last angle whose modulus is bounded
+    by the l1 norm of its coefficients.  Only slices whose bound exceeds
+    the running maximum `best` (the best value found on earlier tori,
+    or -1) are evaluated, in decreasing bound order, and the sweep stops
+    at the first batch that cannot beat the running maximum.  Returns
+    (best, None) when no grid point beats `best`.  The caller has run
+    _check_grid with max(n - 1, 1) full axes.
     """
-    box = _coeff_box(g, radii)
-    n = box.ndim
-    if n == 1:
-        vals = np.fft.ifft(box, n=N) * N
-        with np.errstate(over="ignore"):
-            sq = vals.real ** 2 + vals.imag ** 2
-        j = int(np.argmax(sq))
-        val = math.sqrt(float(sq[j]))
-        return (val, (j,)) if val > best else (best, None)
     part = box
-    for axis in range(n - 1):
+    for axis in range(box.ndim - 1):
         part = np.fft.ifft(part, n=N, axis=axis) * N
     slice_bound = np.abs(part).sum(axis=-1).ravel()
     # the slices that can beat `best` are a prefix of the descending order
@@ -351,9 +341,9 @@ def sup_norm(g: LaurentPoly, spec: BoundarySpec) -> SupNormResult:
     if g.is_zero:
         return SupNormResult(value=0.0, certified_error=0.0, arg_point=())
     N = spec.grid_size(g)
-    _check_grid(g, N, max(g.n_vars - 1, 1))
-    exps = np.array(list(g.coeffs.keys()), dtype=int).reshape(-1, g.n_vars)
-    abs_c = np.abs(np.array([g.coeffs[tuple(e)] for e in exps], dtype=complex))
+    exps, cs = _exponent_table(g)
+    _check_grid(exps, N, max(g.n_vars - 1, 1))
+    abs_c = np.abs(cs)
     total_deg = np.abs(exps).sum(axis=1)
 
     tori = [np.asarray(radii, dtype=float) for radii in spec.tori(g.n_vars)]
@@ -366,7 +356,7 @@ def sup_norm(g: LaurentPoly, spec: BoundarySpec) -> SupNormResult:
     for k in sorted(range(len(tori)), key=lambda k: -l1[k]):
         if l1[k] <= best_val:
             continue
-        best_val, idx = _grid_argmax(g, tori[k], N, best_val)
+        best_val, idx = _grid_argmax(_coeff_box(exps, cs * scales[k]), N, best_val)
         if idx is not None:
             theta = 2.0 * math.pi * np.asarray(idx, dtype=float) / N
             best_point = tuple(tori[k] * np.exp(1j * theta))
@@ -376,7 +366,7 @@ def sup_norm(g: LaurentPoly, spec: BoundarySpec) -> SupNormResult:
     return SupNormResult(value=best_val, certified_error=certified_error, arg_point=best_point)
 
 
-def coefficients_from_samples(samples, window, drop_tol: float = 1e-13) -> LaurentPoly:
+def coefficients_from_samples(samples, window) -> LaurentPoly:
     """Recover Laurent coefficients from samples on the unit polycircle.
 
     samples is an n-dimensional array of g evaluated on the uniform
@@ -386,7 +376,7 @@ def coefficients_from_samples(samples, window, drop_tol: float = 1e-13) -> Laure
     Laurent polynomials supported inside the window, provided N exceeds
     the window width; wider windows alias and are refused.
 
-    Coefficients with modulus at most drop_tol are dropped so that
+    Coefficients with modulus at most DROP_TOL are dropped so that
     quadrature roundoff does not inflate the support.
     """
     arr = np.asarray(samples, dtype=complex)
@@ -408,29 +398,23 @@ def coefficients_from_samples(samples, window, drop_tol: float = 1e-13) -> Laure
     ranges = [range(lo, hi + 1) for lo, hi in window]
     for exp in itertools.product(*ranges):
         c = F[tuple(e % n for e, n in zip(exp, arr.shape))]
-        if abs(c) > drop_tol:
+        if abs(c) > DROP_TOL:
             coeffs[exp] = complex(c)
     return LaurentPoly(len(window), coeffs)
 
 
 def sample_grid(g: LaurentPoly, N: int) -> np.ndarray:
-    """Values of g on the uniform N-per-axis grid of the unit polycircle."""
-    return _torus_values(g, [1.0] * g.n_vars, N) * _grid_phase(g, N)
+    """Values of g on the uniform N-per-axis grid of the unit polycircle.
 
-
-def _grid_phase(g: LaurentPoly, N: int) -> np.ndarray:
-    """Phase factor dropped by the exponent shift in _torus_values."""
-    exps = np.array(list(g.coeffs.keys()), dtype=int).reshape(-1, g.n_vars)
-    lo = exps.min(axis=0)
-    shape = [N] * g.n_vars
-    phase = np.ones(shape, dtype=complex)
-    for axis, l in enumerate(lo):
-        if l != 0:
-            theta = 2.0 * math.pi * np.arange(N) / N
-            view = [None] * g.n_vars
-            view[axis] = slice(None)
-            phase = phase * np.exp(1j * l * theta)[tuple(view)]
-    return phase
+    Each coefficient a_nu sits at index nu mod N of an N^n array, whose
+    inverse DFT times N^n is g at z_j = exp(2 pi i k_j / N); this is the
+    transform coefficients_from_samples undoes.
+    """
+    exps, cs = _exponent_table(g)
+    _check_grid(exps, N, g.n_vars)
+    F = np.zeros((N,) * g.n_vars, dtype=complex)
+    F[tuple((exps % N).T)] = cs
+    return np.fft.ifftn(F) * F.size
 
 
 def cauchy_check(g: LaurentPoly, params: AnnulusParams, supnorm: float) -> bool:
@@ -565,7 +549,6 @@ def verify_decomposition_estimates(
     g: LaurentPoly,
     params: AnnulusParams,
     which: str = "general",
-    spec: BoundarySpec | None = None,
 ) -> DecompositionReport:
     """Measure every part norm against its closed-form estimate.
 
@@ -579,14 +562,8 @@ def verify_decomposition_estimates(
         raise InputError(f"which must be 'bivariate' or 'general', got {which!r}")
     if which == "bivariate" and g.n_vars != 2:
         raise InputError("the bivariate estimates require exactly two variables")
-    if spec is None:
-        N = None
-    else:
-        if spec.kind != "polyannulus_distinguished":
-            raise InputError("the denominator norm lives on the distinguished boundary")
-        N = spec.samples_per_circle
-    den_spec = BoundarySpec("polyannulus_distinguished", params.r, N)
-    num_spec = BoundarySpec("polycircle_r", params.r, N)
+    den_spec = BoundarySpec("polyannulus_distinguished", params.r)
+    num_spec = BoundarySpec("polycircle_r", params.r)
 
     g_sup = sup_norm(g, den_spec)
     if which == "bivariate":

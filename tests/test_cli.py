@@ -108,6 +108,16 @@ def test_verify_bounds_csv(tmp_path):
     assert len(lines) == 6
 
 
+def test_second_call_keeps_the_defaults(tmp_path):
+    # one parser serves both calls; the first call's lists must not leak
+    argv = ["verify-bounds", "--samples", "1", "--seed", "2"]
+    assert main(argv + ["--dims", "1", "--degrees", "1", "--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    config = json.loads((tmp_path / "b.json").read_text())["config"]
+    assert config["dims"] == [2, 3, 4]
+    assert config["degrees"] == [2, 4, 6]
+
+
 def test_scan_extremal(tmp_path):
     out = tmp_path / "scan.csv"
     code = main(

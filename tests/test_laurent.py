@@ -187,13 +187,19 @@ class TestSupNorm:
             sup_norm(g, SPEC2)
 
 
+def _box(g, radii):
+    """g's coefficient box on the torus of radii `radii`."""
+    exps, cs = laurent._exponent_table(g)
+    return laurent._coeff_box(exps, cs * np.prod(np.asarray(radii, dtype=float) ** exps, axis=1))
+
+
 def _full_grid_max(g, radii, N):
     """Max of |g| over every point of the N^n torus grid, without pruning.
 
     The last axis is transformed in row chunks so the n = 3 grid never
     sits in memory at once.
     """
-    part = laurent._coeff_box(g, radii)
+    part = _box(g, radii)
     for axis in range(g.n_vars - 1):
         part = np.fft.ifft(part, n=N, axis=axis) * N
     rows = part.reshape(-1, part.shape[-1])
@@ -238,7 +244,7 @@ class TestTorusPruning:
         for k in range(16):
             g = gen_laurent(n, 2, substream(90 + n, k))
             N = spec.grid_size(g)
-            separate = max(laurent._grid_argmax(g, radii, N, -1.0)[0] for radii in spec.tori(n))
+            separate = max(laurent._grid_argmax(_box(g, radii), N, -1.0)[0] for radii in spec.tori(n))
             assert sup_norm(g, spec).value == separate
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -256,13 +262,14 @@ class TestTorusPruning:
         visited = []
         grid_argmax = laurent._grid_argmax
 
-        def spy(g, radii, N, best):
-            visited.append(tuple(radii))
-            return grid_argmax(g, radii, N, best)
+        def spy(box, N, best):
+            visited.append(box)
+            return grid_argmax(box, N, best)
 
         monkeypatch.setattr(laurent, "_grid_argmax", spy)
         res = sup_norm(g, SPEC2)
-        assert visited == [(0.5,)]
+        assert len(visited) == 1
+        np.testing.assert_array_equal(visited[0], _box(g, (0.5,)))
         assert res.value == pytest.approx(20.0, rel=1e-5)
         assert res.certified_error == pytest.approx(_certificate(g, SPEC2), rel=1e-12)
         assert res.certified_error == pytest.approx(107.4 * math.pi / 320, rel=1e-3)
@@ -280,12 +287,21 @@ class TestTorusPruning:
         assert res.value == pytest.approx(32.0, rel=1e-12)
         np.testing.assert_allclose(np.abs(res.arg_point), SPEC2.tori(2)[-1], rtol=1e-12)
 
-    def test_nothing_beats_the_running_maximum(self):
-        g = LaurentPoly(2, {(1, 0): 1.0, (0, -1): 1.0})
+    @pytest.mark.parametrize(
+        "n, coeffs, first, second, peak",
+        [
+            # z + z^-2 peaks at 4.5 on |z| = 1/2 and at 2.25 on |z| = 2
+            (1, {(1,): 1.0, (-2,): 1.0}, (0.5,), (2.0,), 4.5),
+            (2, {(1, 0): 1.0, (0, -1): 1.0}, (2.0, 0.5), (0.5, 2.0), 4.0),
+        ],
+        ids=["1", "2"],
+    )
+    def test_nothing_beats_the_running_maximum(self, n, coeffs, first, second, peak):
+        g = LaurentPoly(n, coeffs)
         N = SPEC2.grid_size(g)
-        best, idx = laurent._grid_argmax(g, (2.0, 0.5), N, -1.0)
-        assert best == pytest.approx(4.0, rel=1e-12) and idx is not None
-        assert laurent._grid_argmax(g, (0.5, 2.0), N, best) == (best, None)
+        best, idx = laurent._grid_argmax(_box(g, first), N, -1.0)
+        assert best == pytest.approx(peak, rel=1e-12) and idx is not None
+        assert laurent._grid_argmax(_box(g, second), N, best) == (best, None)
 
 
 class TestCoefficients:
@@ -313,6 +329,28 @@ class TestCoefficients:
             for exp, c in g.coeffs.items():
                 assert abs(rec.coeffs[exp] - c) <= 1e-12
             assert np.abs(samples - sample_grid(rec, 16)).max() <= 1e-10
+
+    @pytest.mark.parametrize("n, N", [(1, 16), (2, 12), (3, 8)])
+    def test_sample_grid_matches_eval_point(self, n, N):
+        # every grid point, with negative exponents on every axis, so a
+        # conjugated sign convention would not pass
+        g = gen_laurent(n, 3, substream(12, n))
+        g = LaurentPoly(n, {**g.coeffs, (-1,) * n: 1 - 2j, (-3,) + (0,) * (n - 1): 0.5j})
+        samples = sample_grid(g, N)
+        assert samples.shape == (N,) * n
+        for k in np.ndindex(samples.shape):
+            z = np.exp(2j * np.pi * np.asarray(k) / N)
+            assert abs(samples[k] - eval_point(g, z)) <= 1e-12
+
+    def test_sample_grid_refuses_aliasing(self):
+        # exponents -4..4 span 9 > 8 samples per circle
+        with pytest.raises(InputError):
+            sample_grid(LaurentPoly(1, {(-4,): 1.0, (4,): 1.0}), 8)
+
+    def test_zero_polynomial_grid(self):
+        samples = sample_grid(LaurentPoly(2, {}), 8)
+        assert samples.shape == (8, 8) and not samples.any()
+        assert coefficients_from_samples(samples, [(-2, 2), (-2, 2)]).is_zero
 
     def test_window_wider_than_samples_is_aliasing(self):
         samples = np.ones((8,), dtype=complex)

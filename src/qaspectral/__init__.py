@@ -58,7 +58,7 @@ from .laurent import (
     sup_norm,
     verify_decomposition_estimates,
 )
-from .linalg import Tolerance, kron, op_norm
+from .linalg import kron, op_norm
 from .operators import OperatorTuple, make_tuple
 
 __all__ = [
@@ -81,7 +81,6 @@ __all__ = [
     "ScanTable",
     "ShiftModel",
     "SignPattern",
-    "Tolerance",
     "annulus_bound",
     "annulus_defect",
     "biannulus_bound",

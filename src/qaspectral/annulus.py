@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError, InputError, PreconditionError
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
+    ABS_TOL,
+    REL_TOL,
     adjoint,
     as_matrix,
     hermitian_part,
@@ -102,7 +102,7 @@ def _gram_eig(T: np.ndarray):
     return P, w, V
 
 
-def annulus_defect(T, params: AnnulusParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def annulus_defect(T, params: AnnulusParams) -> np.ndarray:
     """Hermitian defect c_r I - T*T - (T*T)^-1.
 
     Built from one eigendecomposition of T*T, so it commutes with T*T
@@ -110,26 +110,26 @@ def annulus_defect(T, params: AnnulusParams, tol: Tolerance = DEFAULT_TOL) -> np
     """
     A = as_matrix(T)
     _, w, V = _gram_eig(A)
-    if w[0] <= tol.abs ** 2:
+    if w[0] <= ABS_TOL ** 2:
         raise DomainError("annulus_defect: matrix is not invertible")
     vals = params.c_r - w - 1.0 / w
     return hermitian_part((V * vals) @ V.conj().T)
 
 
-def membership(T, params: AnnulusParams, tol: Tolerance = DEFAULT_TOL) -> MembershipReport:
+def membership(T, params: AnnulusParams) -> MembershipReport:
     """Two-route membership check.
 
     The primary verdict (in_qa) comes from the norm route
-    max(||T||, ||T^-1||) <= r + tol.abs.  The defect route recomputes
+    max(||T||, ||T^-1||) <= r + ABS_TOL.  The defect route recomputes
     it from the sign of the smallest defect eigenvalue; eigenvalues
-    down to -tol.abs * c_r count as zero so that boundary operators
+    down to -ABS_TOL * c_r count as zero so that boundary operators
     with a singular value exactly at r remain members.  Both verdicts
     are reported and must agree for healthy inputs.
     """
     A = as_matrix(T)
     s = np.linalg.svd(A, compute_uv=False)
     norm_T = float(s[0])
-    if s[-1] <= tol.abs:
+    if s[-1] <= ABS_TOL:
         return MembershipReport(
             in_qa=False,
             is_qa_unitary=False,
@@ -148,11 +148,11 @@ def membership(T, params: AnnulusParams, tol: Tolerance = DEFAULT_TOL) -> Member
     min_defect = float(defect_eigs.min())
     max_abs_defect = float(np.abs(defect_eigs).max())
 
-    norm_route = max(norm_T, norm_Tinv) <= params.r + tol.abs
-    defect_route = min_defect >= -tol.abs * params.c_r
+    norm_route = max(norm_T, norm_Tinv) <= params.r + ABS_TOL
+    defect_route = min_defect >= -ABS_TOL * params.c_r
     return MembershipReport(
         in_qa=norm_route,
-        is_qa_unitary=max_abs_defect <= tol.abs,
+        is_qa_unitary=max_abs_defect <= ABS_TOL,
         norm_T=norm_T,
         norm_Tinv=norm_Tinv,
         min_defect_eig=min_defect,
@@ -165,7 +165,6 @@ def dilate(
     T,
     params: AnnulusParams,
     n_range=range(-4, 5),
-    tol: Tolerance = DEFAULT_TOL,
 ) -> DilationResult:
     """Explicit extension of T to a quantum annulus unitary on H + H.
 
@@ -177,14 +176,14 @@ def dilate(
     hat_T* hat_T from the closed-form block Gram matrix.
     """
     A = as_matrix(T)
-    report = membership(A, params, tol)
+    report = membership(A, params)
     if not report.in_qa:
         raise PreconditionError(
             f"dilate requires membership in the quantum annulus ({report.reason or 'norms exceed r'})"
         )
     P, w, V = _gram_eig(A)
     defect_vals = params.c_r - w - 1.0 / w
-    floor = -tol.abs * params.c_r
+    floor = -ABS_TOL * params.c_r
     if defect_vals.min() < floor:
         raise DomainError(
             f"defect eigenvalue {defect_vals.min():.3e} below the PSD floor {floor:.3e}"
@@ -204,7 +203,7 @@ def dilate(
     hat_T[:k, k:] = coupling
     hat_T[k:, k:] = T_inv_star
 
-    defect_norm = op_norm(annulus_defect(hat_T, params, tol))
+    defect_norm = op_norm(annulus_defect(hat_T, params))
 
     gram = np.zeros_like(hat_T)
     gram[:k, :k] = P
@@ -247,7 +246,6 @@ def tensor_criterion(
     J,
     params: AnnulusParams,
     mode: str = "isometry",
-    tol: Tolerance = DEFAULT_TOL,
 ) -> TensorCriterionReport:
     """Check both sides of the isometry criterion for C = A (x) J + B (x) J^{-*}.
 
@@ -266,10 +264,10 @@ def tensor_criterion(
     if A.shape != B.shape:
         raise InputError("A and B must have the same shape")
 
-    report = membership(Jm, params, tol)
+    report = membership(Jm, params)
     if not report.is_qa_unitary:
         raise PreconditionError("tensor_criterion requires a quantum annulus unitary J")
-    thr_norm = tol.abs + tol.rel * params.r
+    thr_norm = ABS_TOL + REL_TOL * params.r
     if abs(report.norm_T - params.r) > thr_norm or abs(report.norm_Tinv - params.r) > thr_norm:
         raise PreconditionError(
             "tensor_criterion requires ||J|| = ||J^-1|| = r "
@@ -292,7 +290,7 @@ def tensor_criterion(
         ]
         op_residuals.append(op_norm(C @ adjoint(C) - eyeC))
 
-    threshold = tol.abs * max(1.0, c_r)
+    threshold = ABS_TOL * max(1.0, c_r)
     conditions_pass = all(x <= threshold for x in cond_residuals)
     operator_passes = all(x <= threshold for x in op_residuals)
     return TensorCriterionReport(

@@ -29,7 +29,7 @@ from types import MappingProxyType
 from .annulus import AnnulusParams, membership
 from .errors import DomainError, InputError, PreconditionError
 from .laurent import BoundarySpec, LaurentPoly, eval_operators, sup_norm
-from .linalg import DEFAULT_TOL, Tolerance, op_norm
+from .linalg import op_norm
 from .operators import OperatorTuple
 
 
@@ -85,7 +85,6 @@ def spectral_ratio(
     g: LaurentPoly,
     params: AnnulusParams,
     bound: float = math.inf,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> RatioReport:
     """||g(T)|| over the certified sup of g on the distinguished boundary.
 
@@ -96,10 +95,10 @@ def spectral_ratio(
     if len(T) != g.n_vars:
         raise InputError(f"tuple length {len(T)} does not match n_vars {g.n_vars}")
     for i, M in enumerate(T):
-        if not membership(M, params, tol).in_qa:
+        if not membership(M, params).in_qa:
             raise PreconditionError(f"tuple member {i} is not in the quantum annulus")
 
-    g_op = op_norm(eval_operators(g, T, tol))
+    g_op = op_norm(eval_operators(g, T))
     sup = sup_norm(g, BoundarySpec("polyannulus_distinguished", params.r))
     if sup.value <= 0.0:
         raise InputError("cannot form a ratio against the zero polynomial")

@@ -36,9 +36,9 @@ import numpy as np
 from . import __version__
 from .annulus import AnnulusParams, membership
 from .bounds import BOUND_KINDS, RatioReport, spectral_ratio
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, ResourceError
 from .laurent import LaurentPoly
-from .linalg import DEFAULT_TOL, Tolerance, is_json_number, kron
+from .linalg import DIMENSION_CAP, is_json_number, kron
 from .operators import COMMUTING, DOUBLY_COMMUTING, OperatorTuple, make_tuple
 
 RNG_ALGORITHM = "philox4x64"
@@ -93,7 +93,6 @@ def gen_tuple(
     dim: int,
     params: AnnulusParams,
     rng: np.random.Generator,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> OperatorTuple:
     """Single member, commuting pair or doubly commuting n-tuple of members.
 
@@ -108,7 +107,7 @@ def gen_tuple(
     if mode == "single":
         if n != 1:
             raise InputError("single means n = 1")
-        return make_tuple([gen_qa_operator(dim, params, rng)], tol=tol)
+        return make_tuple([gen_qa_operator(dim, params, rng)])
     if mode == "commuting_pair":
         if n != 2:
             raise InputError("commuting_pair means n = 2")
@@ -125,8 +124,8 @@ def gen_tuple(
                 phases = np.exp(2j * math.pi * rng.uniform(size=dim))
                 D = moduli * phases
                 mats.append((V * D) @ np.linalg.inv(V))
-            if all(membership(M, params, tol).in_qa for M in mats):
-                return make_tuple(mats, COMMUTING, tol)
+            if all(membership(M, params).in_qa for M in mats):
+                return make_tuple(mats, COMMUTING)
         raise PreconditionError(
             f"pair generation exhausted its rejection budget of {REJECTION_BUDGET}"
         )
@@ -134,13 +133,16 @@ def gen_tuple(
         if n < 1:
             raise InputError("doubly_commuting needs n >= 1")
         legs = [gen_qa_operator(dim, params, rng) for _ in range(n)]
-        mats = []
-        for j in range(n):
-            M = np.eye(1, dtype=complex)
-            for i in range(n):
-                M = kron(M, legs[i] if i == j else np.eye(dim, dtype=complex))
-            mats.append(M)
-        return make_tuple(mats, DOUBLY_COMMUTING, tol)
+        # Refused before an identity factor of up to dim^(n-1) is allocated.
+        if dim ** n > DIMENSION_CAP:
+            raise ResourceError(
+                f"doubly commuting tuple dimension {dim}^{n} exceeds cap {DIMENSION_CAP}"
+            )
+        mats = [
+            kron(kron(np.eye(dim ** j), S), np.eye(dim ** (n - 1 - j)))
+            for j, S in enumerate(legs)
+        ]
+        return make_tuple(mats, DOUBLY_COMMUTING)
     raise InputError(f"unknown tuple mode {mode!r}")
 
 

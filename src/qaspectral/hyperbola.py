@@ -20,7 +20,7 @@ import numpy as np
 
 from .annulus import AnnulusParams, dilate, membership
 from .errors import DomainError, PreconditionError
-from .linalg import DEFAULT_TOL, Tolerance, adjoint, as_matrix, op_norm
+from .linalg import ABS_TOL, adjoint, as_matrix, op_norm
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class BiballLift:
     product_defect: float
 
 
-def biball_lift(T, params: AnnulusParams, tol: Tolerance = DEFAULT_TOL) -> BiballLift:
+def biball_lift(T, params: AnnulusParams) -> BiballLift:
     """Lift T through the doubled-space extension onto the biball variety.
 
     A_hat = a_r hat_T and B_hat = a_r hat_T^-1 satisfy
@@ -41,9 +41,9 @@ def biball_lift(T, params: AnnulusParams, tol: Tolerance = DEFAULT_TOL) -> Bibal
     s = r^-2, so no accepted r overflows it.
     """
     A = as_matrix(T)
-    if not membership(A, params, tol).in_qa:
+    if not membership(A, params).in_qa:
         raise PreconditionError("biball_lift requires membership in the quantum annulus")
-    hat = dilate(A, params, n_range=(), tol=tol).hat_T
+    hat = dilate(A, params, n_range=()).hat_T
     A_hat = params.a_r * hat
     B_hat = params.a_r * np.linalg.inv(hat)
     s = params.r ** -2
@@ -53,7 +53,7 @@ def biball_lift(T, params: AnnulusParams, tol: Tolerance = DEFAULT_TOL) -> Bibal
     unitary_defect = op_norm(adjoint(U) @ U - eye)
     product_defect = op_norm(A_hat @ B_hat - eye / params.c_r)
 
-    if unitary_defect > max(tol.abs, 1e3 * np.finfo(float).eps * params.c_r):
+    if unitary_defect > max(ABS_TOL, 1e3 * np.finfo(float).eps * params.c_r):
         raise DomainError(
             f"biball unitary failed its check: ||U*U - I|| = {unitary_defect:.3e}"
         )

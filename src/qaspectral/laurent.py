@@ -38,7 +38,7 @@ import numpy as np
 
 from .annulus import AnnulusParams
 from .errors import DomainError, InputError, ResourceError
-from .linalg import DEFAULT_TOL, Tolerance, is_json_number
+from .linalg import is_json_number
 from .operators import OperatorTuple, make_tuple
 
 # Grid floor for certified sup norms: at least this many samples per
@@ -150,38 +150,41 @@ def eval_point(g: LaurentPoly, z) -> complex:
     return complex(total)
 
 
-def eval_operators(g: LaurentPoly, T: OperatorTuple, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def eval_operators(g: LaurentPoly, T: OperatorTuple) -> np.ndarray:
     """Functional calculus g(T_1, ..., T_n) with negative powers via inverses.
 
-    The tuple must commute within tolerance (validated on construction;
-    re-validated here so raw matrix sequences can be passed too).
+    The tuple must commute within ABS_TOL (validated on construction;
+    re-validated here so raw matrix sequences can be passed too).  T_j
+    is inverted only when g has a negative power of it, and each term
+    starts from its first factor.
     """
     if not isinstance(T, OperatorTuple):
-        T = make_tuple(T, tol=tol)
+        T = make_tuple(T)
     if len(T) != g.n_vars:
         raise InputError(f"tuple length {len(T)} does not match n_vars {g.n_vars}")
 
     dim = T.dim
-    inverses = [np.linalg.inv(M) for M in T]
     # power cache per variable: powers[j][e] = T_j^e
-    powers = [{0: np.eye(dim, dtype=complex)} for _ in range(len(T))]
+    powers = [{1: M} for M in T]
 
     def power(j: int, e: int) -> np.ndarray:
         cache = powers[j]
         if e not in cache:
-            if e > 0:
+            if e > 1:
                 cache[e] = power(j, e - 1) @ T[j]
+            elif e == -1:
+                cache[e] = np.linalg.inv(T[j])
             else:
-                cache[e] = power(j, e + 1) @ inverses[j]
+                cache[e] = power(j, e + 1) @ power(j, -1)
         return cache[e]
 
     result = np.zeros((dim, dim), dtype=complex)
     for exp, c in g.terms():
-        M = np.eye(dim, dtype=complex)
+        M = None
         for j, e in enumerate(exp):
             if e != 0:
-                M = M @ power(j, e)
-        result += c * M
+                M = power(j, e) if M is None else M @ power(j, e)
+        result += c * (np.eye(dim, dtype=complex) if M is None else M)
     return result
 
 

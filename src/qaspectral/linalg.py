@@ -3,16 +3,16 @@
 """Dense complex matrix kernel.
 
 Everything in the package models operators as square numpy arrays of
-complex128.  This module holds the shared primitives: validation, the
-operator (largest-singular-value) norm, Kronecker products with a
-desk-scale dimension cap, and the JSON matrix file format.
+complex128.  This module holds the shared primitives: the comparison
+tolerances ABS_TOL and REL_TOL (fixed; no function takes a tolerance),
+validation, the operator (largest-singular-value) norm, Kronecker
+products with a desk-scale dimension cap, and the JSON matrix file format.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,20 +22,9 @@ from .errors import InputError, ResourceError
 # Kronecker results above this dimension are refused.
 DIMENSION_CAP = 4096
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute / relative comparison tolerances used throughout."""
-
-    abs: float = 1e-10
-    rel: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.abs < 0 or self.rel < 0:
-            raise InputError("tolerances must be nonnegative")
-
-
-DEFAULT_TOL = Tolerance()
+# Absolute and relative comparison tolerances used throughout.
+ABS_TOL = 1e-10
+REL_TOL = 1e-8
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -64,16 +53,6 @@ def op_norm(M) -> float:
     """Largest singular value of a square matrix."""
     A = as_matrix(M)
     return float(np.linalg.norm(A, 2))
-
-
-def smallest_singular_value(M) -> float:
-    A = as_matrix(M)
-    return float(np.linalg.svd(A, compute_uv=False)[-1])
-
-
-def is_invertible(M, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the smallest singular value exceeds tol.abs."""
-    return smallest_singular_value(M) > tol.abs
 
 
 def kron(A, B) -> np.ndarray:

@@ -4,16 +4,20 @@
 
 An OperatorTuple tags its members with a commutation mode: "commuting"
 requires T_i T_j = T_j T_i, "doubly_commuting" additionally requires
-T_i T_j* = T_j* T_i for i != j.  Validation is numerical, scaled by the
-product of the operator norms.
+T_i T_j* = T_j* T_i for i != j.  Validation is numerical: a member is
+singular when its smallest singular value is at most ABS_TOL, and a
+commutator fails when its norm, scaled by the product of the operator
+norms, exceeds ABS_TOL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError, InputError, PreconditionError
-from .linalg import DEFAULT_TOL, Tolerance, adjoint, as_matrix, is_invertible, op_norm
+from .linalg import ABS_TOL, adjoint, as_matrix, op_norm
 
 COMMUTING = "commuting"
 DOUBLY_COMMUTING = "doubly_commuting"
@@ -40,8 +44,12 @@ class OperatorTuple:
         return self.matrices[0].shape[0]
 
 
-def make_tuple(matrices, mode: str = COMMUTING, tol: Tolerance = DEFAULT_TOL) -> OperatorTuple:
-    """Validate invertibility and the declared commutation mode."""
+def make_tuple(matrices, mode: str = COMMUTING) -> OperatorTuple:
+    """Validate invertibility and the declared commutation mode.
+
+    One SVD per member gives both its invertibility (smallest singular
+    value above ABS_TOL) and its operator norm.
+    """
     if mode not in (COMMUTING, DOUBLY_COMMUTING):
         raise InputError(f"unknown commutation mode {mode!r}")
     mats = tuple(as_matrix(M, f"T[{i}]") for i, M in enumerate(matrices))
@@ -49,18 +57,20 @@ def make_tuple(matrices, mode: str = COMMUTING, tol: Tolerance = DEFAULT_TOL) ->
         raise InputError("operator tuple must be nonempty")
     if any(M.shape != mats[0].shape for M in mats):
         raise InputError("all tuple members must share one dimension")
+    norms = []
     for i, M in enumerate(mats):
-        if not is_invertible(M, tol):
+        s = np.linalg.svd(M, compute_uv=False)
+        if s[-1] <= ABS_TOL:
             raise DomainError(f"tuple member {i} is singular")
+        norms.append(float(s[0]))
 
-    norms = [op_norm(M) for M in mats]
     worst = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             scale = max(norms[i] * norms[j], 1.0)
             comm = op_norm(mats[i] @ mats[j] - mats[j] @ mats[i]) / scale
             worst = max(worst, comm)
-            if comm > tol.abs:
+            if comm > ABS_TOL:
                 raise PreconditionError(
                     f"members {i} and {j} do not commute (scaled residual {comm:.3e})"
                 )
@@ -69,7 +79,7 @@ def make_tuple(matrices, mode: str = COMMUTING, tol: Tolerance = DEFAULT_TOL) ->
                     mats[i] @ adjoint(mats[j]) - adjoint(mats[j]) @ mats[i]
                 ) / scale
                 worst = max(worst, adj)
-                if adj > tol.abs:
+                if adj > ABS_TOL:
                     raise PreconditionError(
                         f"members {i} and {j} fail adjoint commutation "
                         f"(scaled residual {adj:.3e})"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qaspectral.annulus import AnnulusParams, membership
-from qaspectral.errors import InputError
+from qaspectral.errors import InputError, ResourceError
 from qaspectral.harness import (
     ExperimentConfig,
     admissible_count,
@@ -17,7 +17,7 @@ from qaspectral.harness import (
     substream,
     write_report,
 )
-from qaspectral.linalg import adjoint, op_norm
+from qaspectral.linalg import DIMENSION_CAP, adjoint, op_norm
 
 R2 = AnnulusParams(2.0)
 
@@ -70,6 +70,26 @@ class TestGenerators:
         assert T.dim == 9
         a = T[0] @ adjoint(T[1]) - adjoint(T[1]) @ T[0]
         assert op_norm(a) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_doubly_commuting_members_are_kron_legs(self, n):
+        dim = 2
+        T = gen_tuple("doubly_commuting", n, dim, R2, substream(13, n))
+        rng = substream(13, n)
+        legs = [gen_qa_operator(dim, R2, rng) for _ in range(n)]
+        for j, M in enumerate(T):
+            expected = np.eye(1)
+            for i in range(n):
+                expected = np.kron(expected, legs[i] if i == j else np.eye(dim))
+            np.testing.assert_array_equal(M, expected)
+
+    def test_oversized_doubly_commuting_tuple_refused(self):
+        with pytest.raises(ResourceError):
+            gen_tuple("doubly_commuting", 40, 2, R2, substream(14, 0))
+        n = 12
+        assert 2 ** n <= DIMENSION_CAP < 2 ** (n + 1)
+        with pytest.raises(ResourceError):
+            gen_tuple("doubly_commuting", n + 1, 2, R2, substream(14, 1))
 
     def test_laurent_degree_budget(self):
         for k in range(20):

@@ -100,6 +100,36 @@ class TestEvalOperators:
         for i in range(2):
             assert G[i, i] == pytest.approx(eval_point(g, [d1[i], d2[i]]), abs=1e-10)
 
+    @staticmethod
+    def _pair():
+        A = np.array([[2.0, 1.0], [0.0, 0.5]])
+        return make_tuple([A, A @ A + np.eye(2)])
+
+    def test_inverts_only_for_negative_powers(self, monkeypatch):
+        calls = []
+        inv = np.linalg.inv
+
+        def spy(M):
+            calls.append(M)
+            return inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        T = self._pair()
+        eval_operators(LaurentPoly(2, {(0, 0): 1.0, (2, 1): 0.5, (0, 3): 1j}), T)
+        assert calls == []
+        eval_operators(LaurentPoly(2, {(-2, 1): 1.0}), T)
+        assert len(calls) == 1 and calls[0] is T[0]
+
+    def test_constant_is_scaled_identity(self):
+        c = 1.5 - 2j
+        G = eval_operators(LaurentPoly(2, {(0, 0): c}), self._pair())
+        np.testing.assert_array_equal(G, c * np.eye(2))
+
+    def test_mixed_powers(self):
+        T = self._pair()
+        G = eval_operators(LaurentPoly(2, {(2, -1): 1.0}), T)
+        np.testing.assert_allclose(G, T[0] @ T[0] @ np.linalg.inv(T[1]), rtol=0, atol=1e-12)
+
 
 class TestSupNorm:
     def test_univariate_example(self):
